@@ -173,7 +173,6 @@ def redundant_broadcast(
     adversary: AdversarySchedule | None = None,
     backend: str = "simulator",
     collect_receipts: bool = False,
-    step: str | None = None,
 ) -> DeliveryReport:
     """Broadcast with each message assigned to ``redundancy`` distinct trees.
 
@@ -191,9 +190,7 @@ def redundant_broadcast(
     deliveries fail). ``backend="vectorized"`` runs the whole experiment on
     the fault-aware numpy engine (:mod:`repro.engine.faults`) and returns a
     bit-identical report — same receipts, drops, rounds, and fault RNG
-    stream — at orders of magnitude larger n. ``step`` picks that engine's
-    stepping strategy (:func:`repro.engine.kernels.resolve_step`); the
-    simulator backend ignores it.
+    stream — at orders of magnitude larger n.
     """
     from repro.engine import validate_backend
 
@@ -232,7 +229,7 @@ def redundant_broadcast(
         from repro.engine.faults import vectorized_faulty_broadcast
 
         out = vectorized_faulty_broadcast(
-            graph, trees, per_channel, plan=plan, fault_seed=fault_seed, step=step
+            graph, trees, per_channel, plan=plan, fault_seed=fault_seed
         )
         import numpy as np
 
@@ -333,7 +330,6 @@ def evaluate_fault_grid(
     seed: int = 0,
     backend: str = "vectorized",
     collect_receipts: bool = False,
-    step: str | None = None,
 ) -> list[DeliveryReport]:
     """Evaluate a whole resilience grid with the broadcast setup paid once.
 
@@ -365,7 +361,6 @@ def evaluate_fault_grid(
                 adversary=c.adversary,
                 backend=backend,
                 collect_receipts=collect_receipts,
-                step=step,
             )
             for c in cells
         ]
@@ -412,7 +407,7 @@ def evaluate_fault_grid(
             plan = plan.merged(cell.adversary.compile(graph, packing=packing))
         fault_seed = seed if cell.fault_seed is None else cell.fault_seed
         out = vectorized_faulty_broadcast(
-            graph, trees, split(redundancy), plan=plan, fault_seed=fault_seed, step=step
+            graph, trees, split(redundancy), plan=plan, fault_seed=fault_seed
         )
         rows = np.searchsorted(out.mids, np.asarray(all_ids, dtype=np.int64))
         coverage = {

@@ -58,15 +58,17 @@ executions — receipt sets, drop counts, round totals, and the fault RNG
 stream — bit for bit, which is what lets the Section 1.2 resilience
 experiments (``redundant_broadcast``, E16) run at n = 10⁵.
 
-Within the vectorized backend, loop-heavy paths additionally pick a **step
-strategy** (:mod:`repro.engine.kernels`): ``"round"`` advances one numpy
-step per round, ``"span"`` advances one step per *event* — queue evolution
-between events is closed-form, so the Lemma 1 recurrence and the rate-0
-fault engine batch thousands of rounds into a handful of array ops. Both
-strategies are bit-identical (same rounds, bits, receipts, RNG stream);
-``step=None``/``"auto"`` defers to the ``REPRO_STEP`` env var (default
-``"span"``), and span paths silently fall back to ``"round"`` where the
-closed form does not apply (drop_rate > 0, irregular layerings).
+Within the vectorized backend, loop-heavy paths advance one numpy step
+per *event* rather than per round (:mod:`repro.engine.kernels`): queue
+evolution between events is closed-form, so the Lemma 1 recurrence and the
+rate-0 and total-loss fault engines batch thousands of rounds into a
+handful of array ops. The input decides, never a caller switch: where the
+fault engine's closed form does not apply (coin rates in (0, 1), mobile
+sets where the closed form needs none, non-BFS layerings, memory guards)
+a per-round replay runs instead, bit-identical where both apply (same
+rounds, bits, receipts, RNG stream). The fault-free pipelined broadcast
+has no replay: it requires BFS-layered trees. BFS layers advance by boolean sparse matvec
+(:mod:`scipy.sparse`, a hard dependency) or by numpy gather, per layer.
 
 Callers opt in via the ``backend=`` parameter threaded through
 :func:`repro.primitives.bfs.run_bfs`,
@@ -84,11 +86,7 @@ on the ``broadcast``, ``packing``, ``apsp``, and ``cuts`` subcommands.
 
 from __future__ import annotations
 
-from repro.engine.kernels import (
-    STEP_STRATEGIES,
-    frontier_sweep,
-    resolve_step,
-)
+from repro.engine.kernels import frontier_sweep
 from repro.engine.fastpath import (
     vectorized_bfs,
     vectorized_elect_leader,
@@ -105,9 +103,7 @@ from repro.util.errors import ValidationError
 
 __all__ = [
     "BACKENDS",
-    "STEP_STRATEGIES",
     "frontier_sweep",
-    "resolve_step",
     "validate_backend",
     "vectorized_bfs",
     "vectorized_parallel_bfs",

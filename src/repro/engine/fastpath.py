@@ -17,8 +17,6 @@ from repro.engine.kernels import (
     expand_csr_rows,
     frontier_sweep,
     last_send_round_spans,
-    resolve_step,
-    upcast_rounds,
     upcast_spans,
 )
 from repro.graphs.graph import Graph
@@ -293,27 +291,12 @@ def vectorized_numbering(
 # Lemma 1 / Theorem 1 step 4 — pipelined tree broadcast
 # --------------------------------------------------------------------------- #
 
-def _last_send_round(arrival_rounds: np.ndarray, arrival_counts: np.ndarray) -> int:
-    """Last send round of a work-conserving unit-rate queue fed by batches.
-
-    ``arrival_counts[j]`` items land in round ``arrival_rounds[j]`` (rounds
-    strictly increasing, at least one batch); the server sends one item per
-    round whenever its queue is nonempty, and an item arriving in round r can
-    already be sent in round r. Folding the per-item recurrence
-    ``t_i = max(a_i, t_{i-1} + 1)`` over whole batches gives the closed form
-    ``t_last = max_j (a_j + (K - cum_{<j})) - 1`` with K the total item count.
-    """
-    cum_before = np.cumsum(arrival_counts) - arrival_counts
-    total = int(arrival_counts[-1] + cum_before[-1])
-    return int((arrival_rounds + (total - cum_before)).max()) - 1
-
 def vectorized_tree_broadcast(
     graph: Graph,
     trees: dict[int, BFSResult],
     messages: dict[int, dict[int, list[int] | np.ndarray]],
     verify: bool = True,
     bandwidth_factor: int = 8,
-    step: str | None = None,
 ) -> TreeBroadcastOutcome:
     """Fast-path :func:`repro.primitives.pipeline.run_tree_broadcast`.
 
@@ -322,10 +305,11 @@ def vectorized_tree_broadcast(
     every nonempty up-queue sends one message to its parent and every
     nonempty down-queue pops one (forwarded to children, if any); arrivals
     land one round after sends. The count is reproduced exactly without
-    pumping every queue every round: a sparse sweep over the nonempty
-    up-queues yields the root's arrival stream, the root's service is the
-    closed-form :func:`_last_send_round`, and the downcast is a pure
-    pipeline (non-root down-queues never exceed one item), finishing
+    pumping every queue every round: the upcast is batched one tree layer
+    at a time (:func:`~repro.engine.kernels.upcast_spans`) into the root's
+    arrival stream, the root's service is the closed-form
+    :func:`~repro.engine.kernels.last_send_round_spans`, and the downcast is
+    a pure pipeline (non-root down-queues never exceed one item), finishing
     ``depth(T)`` rounds after the root's last send.
 
     Metrics are closed-form: each message crosses every tree edge once on the
@@ -337,11 +321,10 @@ def vectorized_tree_broadcast(
     construction once every tree spans (checked below), which the
     equivalence suite cross-validates against the simulator's counters.
 
-    ``step`` picks the upcast stepping strategy (see
-    :func:`repro.engine.kernels.resolve_step`): ``"span"`` (default)
-    batches whole tree layers, ``"round"`` replays the per-round
-    reference sweep. Both are bit-identical; ``"span"`` falls back to
-    ``"round"`` when a tree is not BFS-layered.
+    Every tree must be BFS-layered: ``dist`` is the depth in the tree (root
+    0, each child one below its parent). The layer batching, the depth
+    term and the convergecast all read ``dist`` as tree depth, so any other
+    layering raises :class:`ValidationError`.
     """
     n = graph.n
     cids = sorted(trees)
@@ -408,6 +391,13 @@ def vectorized_tree_broadcast(
         cached = chan_cache.get(cid)
         if cached is not None and cached[0].size:
             own[ci, cached[0]] = cached[1]
+        if np.any(dists[ci][~nonroot[ci]] != 0) or np.any(
+            dists[ci][nonroot[ci]] != dists[ci][parents[ci][nonroot[ci]]] + 1
+        ):
+            raise ValidationError(
+                f"channel {cid} tree is not BFS-layered (dist must be the "
+                "depth in the tree)"
+            )
 
     # Tree-edge ids, computed once in a single batched query (one
     # searchsorted over all channels' tree edges): the disjointness gate
@@ -482,59 +472,31 @@ def vectorized_tree_broadcast(
     #      pipeline: the root's last down-send at round t_last drains at the
     #      deepest leaf in round t_last + depth(T), which is the round the
     #      simulator goes quiet;
-    #   3. the upcast therefore only needs the *root's arrival stream*: the
-    #      "round" strategy replays it with one sparse sweep over the
-    #      nonempty UP queues per round (kernels.upcast_rounds,
-    #      O(Σ_msg depth(origin)) work), while the default "span" strategy
-    #      batches whole tree layers through the event-span algebra
-    #      (kernels.upcast_spans, no per-round Python iteration at all).
+    #   3. the upcast therefore only needs the *root's arrival stream*,
+    #      which whole tree layers batched through the event-span algebra
+    #      give without per-round Python iteration (kernels.upcast_spans).
     up = np.where(nonroot, own, 0).ravel()
     flat_parents = (parents + (np.arange(C) * n)[:, None]).ravel()
-    is_root = ~nonroot.ravel()
-
-    strategy = resolve_step(step)
-    if strategy == "span":
-        flat_dist = dists.ravel()
-        nr = ~is_root
-        if not (
-            np.all(flat_dist[is_root] == 0)
-            and np.all(flat_dist[nr] == flat_dist[flat_parents[nr]] + 1)
-        ):
-            strategy = "round"  # non-BFS layering: keep the per-round reference
-
+    flat_dist = dists.ravel()
     root_own = own[~nonroot]  # one entry per channel, in channel order
     rounds = 0
     with obs.span("upcast"):
-        if strategy == "span":
-            sn, sb, se, sr = upcast_spans(up, flat_parents, flat_dist)
-            span_chan = sn // n
-            for ci, cid in enumerate(cids):
-                if per_channel_k[cid] == 0:
-                    continue  # no sends on this channel at all
-                sel = span_chan == ci
-                starts = sb[sel]  # disjoint spans, sorted by start
-                ends = se[sel]
-                rates = sr[sel]
-                if root_own[ci]:
-                    zero = np.zeros(1, dtype=np.int64)
-                    starts = np.concatenate([zero, starts])
-                    ends = np.concatenate([zero, ends])
-                    rates = np.concatenate([[int(root_own[ci])], rates])
-                t_last = last_send_round_spans(starts, ends, rates)
-                rounds = max(rounds, t_last + int(dists[ci].max()))
-        else:
-            hf, hc, hr = upcast_rounds(up, flat_parents, is_root)
-            for ci, cid in enumerate(cids):
-                if per_channel_k[cid] == 0:
-                    continue  # no sends on this channel at all
-                sel = (hf // n) == ci
-                arr_rounds = hr[sel]  # strictly increasing (≤ one batch per round)
-                arr_counts = hc[sel]
-                if root_own[ci]:
-                    arr_rounds = np.concatenate([[0], arr_rounds])
-                    arr_counts = np.concatenate([[int(root_own[ci])], arr_counts])
-                t_last = _last_send_round(arr_rounds, arr_counts)
-                rounds = max(rounds, t_last + int(dists[ci].max()))
+        sn, sb, se, sr = upcast_spans(up, flat_parents, flat_dist)
+        span_chan = sn // n
+        for ci, cid in enumerate(cids):
+            if per_channel_k[cid] == 0:
+                continue  # no sends on this channel at all
+            sel = span_chan == ci
+            starts = sb[sel]  # disjoint spans, sorted by start
+            ends = se[sel]
+            rates = sr[sel]
+            if root_own[ci]:
+                zero = np.zeros(1, dtype=np.int64)
+                starts = np.concatenate([zero, starts])
+                ends = np.concatenate([zero, ends])
+                rates = np.concatenate([[int(root_own[ci])], rates])
+            t_last = last_send_round_spans(starts, ends, rates)
+            rounds = max(rounds, t_last + int(dists[ci].max()))
 
     # ---- exact metrics: closed-form congestion and totals ---------------- #
     # One flattened convergecast covers every channel at once (channel
@@ -542,7 +504,7 @@ def vectorized_tree_broadcast(
     # loops — at depth ~10³ and C trees those Python loops were the
     # dominant metrics cost.
     with obs.span("downcast_metrics"):
-        sub_flat = _subtree_sums(flat_parents, dists.ravel(), own.ravel())
+        sub_flat = _subtree_sums(flat_parents, flat_dist, own.ravel())
         total_bits = 0
         for ci, cid in enumerate(cids):
             k_c = per_channel_k[cid]

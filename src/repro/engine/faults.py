@@ -40,11 +40,7 @@ import numpy as np
 
 from repro import obs
 from repro.congest.adversary import FaultPlan
-from repro.engine.kernels import (
-    expand_csr_rows,
-    frontier_sweep,
-    resolve_step,
-)
+from repro.engine.kernels import expand_csr_rows, frontier_sweep
 from repro.graphs.graph import Graph
 from repro.primitives.bfs import BFSResult
 from repro.util.errors import ValidationError
@@ -243,7 +239,6 @@ def vectorized_faulty_bfs(
     plan: FaultPlan | None = None,
     fault_seed=0,
     edge_mask: np.ndarray | None = None,
-    step: str | None = None,
 ) -> FaultyBFSOutcome:
     """Fast-path twin of the Lemma 2 flood on a :class:`FaultySimulator`.
 
@@ -255,27 +250,42 @@ def vectorized_faulty_bfs(
     leaves the child out of its parent's ``children`` list even though the
     child keeps the parent pointer, exactly like the simulator.
 
-    ``step="span"`` (the default, see
-    :func:`repro.engine.kernels.resolve_step`) replaces the per-round loop
-    with one closed-form sweep whenever the plan has no coin drops and no
-    mobile adversary — round-dependent faults force the ``"round"`` replay.
-    Both strategies are bit-identical where both apply.
+    Plans with no mobile adversary and either no coin drops or pure total
+    loss take one closed-form sweep; every other plan replays the flood
+    per round (:func:`_round_faulty_bfs`). Both are bit-identical where
+    both apply.
     """
     if not (0 <= root < graph.n):
         raise ValidationError(f"root {root} out of range")
     plan = plan if plan is not None else FaultPlan()
-    n = graph.n
     stream = FaultStream(graph, plan, fault_seed)
     indptr, indices = graph.masked_csr(
         None if edge_mask is None else np.asarray(edge_mask, dtype=bool)
     )
-    if resolve_step(step) == "span" and not stream.mobile:
+    if not stream.mobile:
         if stream.rate == 0.0:
             return _span_faulty_bfs(
                 graph, root, stream, edge_mask, indptr, indices
             )
         if stream.rate == 1.0 and not stream.dead.any():
             return _span_faulty_bfs_total_loss(graph, root, stream, indptr)
+    return _round_faulty_bfs(graph, root, stream, indptr, indices)
+
+
+def _round_faulty_bfs(
+    graph: Graph,
+    root: int,
+    stream: FaultStream,
+    indptr: np.ndarray,
+    indices: np.ndarray,
+) -> FaultyBFSOutcome:
+    """Per-round replay of the faulty flood over the masked CSR.
+
+    Required whenever drops depend on history (rates in (0, 1)) or on the
+    round (mobile sets); the verify sweep also runs it against the
+    closed-form paths on the plans those cover.
+    """
+    n = graph.n
     degs = np.diff(indptr)
     arc_eids = (
         graph.edge_ids_for_pairs(np.repeat(np.arange(n), degs), indices)
@@ -371,7 +381,6 @@ def faulty_bfs(
     fault_seed=0,
     edge_mask: np.ndarray | None = None,
     backend: str = "simulator",
-    step: str | None = None,
 ) -> FaultyBFSOutcome:
     """Lemma 2's flood under a fault plan, on either backend.
 
@@ -379,9 +388,7 @@ def faulty_bfs(
     on a :class:`~repro.congest.faults.FaultySimulator`;
     ``backend="vectorized"`` produces the bit-identical outcome (forest,
     round count, drop count, fault RNG state) via
-    :func:`vectorized_faulty_bfs`. ``step`` selects the vectorized
-    stepping strategy and is ignored by the simulator (which is always
-    per-round).
+    :func:`vectorized_faulty_bfs`.
     """
     from repro.engine import validate_backend
 
@@ -392,7 +399,6 @@ def faulty_bfs(
             plan=plan,
             fault_seed=fault_seed,
             edge_mask=edge_mask,
-            step=step,
         )
     from repro.congest.faults import FaultySimulator
     from repro.congest.network import Network
@@ -435,7 +441,6 @@ def faulty_bfs_grid(
     fault_seeds=None,
     edge_mask: np.ndarray | None = None,
     backend: str = "vectorized",
-    step: str | None = None,
 ) -> list[FaultyBFSOutcome]:
     """A whole (root × fault-seed) grid of faulty floods in one plane sweep.
 
@@ -448,9 +453,8 @@ def faulty_bfs_grid(
     dead-subtracted CSR: the coin RNG is untouched, so outcomes across
     fault seeds differ only in their (pristine) recorded RNG state, and
     queries sharing a root share read-only forest rows. Every other plan —
-    positive rates, mobile schedules, ``step="round"``, the simulator
-    backend — falls back to the per-query loop, which is the contract's
-    definition anyway.
+    positive rates, mobile schedules, the simulator backend — falls back
+    to the per-query loop, which is the contract's definition anyway.
 
     ``fault_seeds`` defaults to all zeros; when given it must match
     ``roots`` in length.
@@ -466,7 +470,6 @@ def faulty_bfs_grid(
         )
     if (
         validate_backend(backend) != "vectorized"
-        or resolve_step(step) != "span"
         or plan.mobile
         or plan.drop_rate != 0.0
         or not root_list
@@ -474,7 +477,7 @@ def faulty_bfs_grid(
         return [
             faulty_bfs(
                 graph, r, plan=plan, fault_seed=s, edge_mask=edge_mask,
-                backend=backend, step=step,
+                backend=backend,
             )
             for r, s in zip(root_list, seeds)
         ]
@@ -696,7 +699,6 @@ def _span_faulty_broadcast(
     mid_row: dict[int, int],
     recv: np.ndarray,
     cid_bits: np.ndarray,
-    nbytes: int,
 ) -> FaultyBroadcastOutcome:
     """Event-batched twin of the per-round faulty broadcast (rate-0 plans).
 
@@ -830,7 +832,7 @@ def _span_faulty_broadcast(
         # Receipts: transpose ~H into the packed (mid, node) matrix. The
         # OR-accumulate handles duplicate mids within and across channels.
         rows = np.searchsorted(mid_index, dmids)
-        chanrecv = np.zeros((K, nbytes), dtype=np.uint8)
+        chanrecv = np.zeros((K, recv.shape[1]), dtype=np.uint8)
         for lo in range(0, n, 4096):
             hi = min(lo + 4096, n)
             bits = np.unpackbits(~H[lo:hi], axis=1, bitorder="little")[:, :K]
@@ -939,7 +941,6 @@ def vectorized_faulty_broadcast(
     messages: dict[int, dict[int, list[int]]],
     plan: FaultPlan | None = None,
     fault_seed=0,
-    step: str | None = None,
 ) -> FaultyBroadcastOutcome:
     """Fast-path twin of the tracking broadcast on a faulty simulator.
 
@@ -959,17 +960,50 @@ def vectorized_faulty_broadcast(
     processed in sorted-cid order, which matches any driver that builds its
     per-node channel specs over ``{0: ..., 1: ..., ...}`` in cid order.
 
-    ``step="span"`` (the default, see
-    :func:`repro.engine.kernels.resolve_step`) runs the downcast — the
-    bulk of the work — closed-form via :func:`_span_faulty_broadcast`
-    whenever the plan draws no coins (``drop_rate == 0``; dead edges and
-    the mobile adversary are fine) and the trees are BFS-layered, and via
+    The downcast — the bulk of the work — runs closed-form via
+    :func:`_span_faulty_broadcast` whenever the plan draws no coins
+    (``drop_rate == 0``; dead edges and the mobile adversary are fine) and
+    the trees are BFS-layered within the memory guard, and via
     :func:`_span_faulty_broadcast_total_loss` under pure uniform total
-    loss (``drop_rate == 1.0``, no dead edges, no mobile set); otherwise,
-    and under ``step="round"``, the per-round replay below runs. All
-    strategies are bit-identical where they apply.
+    loss (``drop_rate == 1.0``, no dead edges, no mobile set). Every other
+    input takes the per-round replay :func:`_round_faulty_broadcast`. All
+    three are bit-identical where they apply.
     """
     plan = plan if plan is not None else FaultPlan()
+    state = _faulty_broadcast_state(graph, trees, messages, plan, fault_seed)
+    chans, stream, mid_index, mid_row, recv, cid_bits = state
+    if plan.drop_rate == 0.0:
+        kmax = [
+            sum(len(ms) for ms in messages.get(cid, {}).values())
+            for cid in sorted(trees)
+        ]
+        if _span_broadcast_viable(graph.n, chans, kmax):
+            return _span_faulty_broadcast(
+                graph, chans, stream, plan, mid_index, mid_row, recv, cid_bits
+            )
+    elif plan.drop_rate == 1.0 and not plan.mobile and not stream.dead.any():
+        return _span_faulty_broadcast_total_loss(
+            chans, stream, mid_index, recv, cid_bits, graph.n
+        )
+    return _round_faulty_broadcast(graph, *state)
+
+
+def _faulty_broadcast_state(
+    graph: Graph,
+    trees: dict[int, BFSResult],
+    messages: dict[int, dict[int, list[int]]],
+    plan: FaultPlan,
+    fault_seed,
+) -> tuple:
+    """Validated starting state shared by every faulty-broadcast path.
+
+    Returns ``(chans, stream, mid_index, mid_row, recv, cid_bits)``: the
+    per-channel queues, the fault stream, the sorted message ids with
+    their receipt-row lookup, the packed receipt matrix (roots already
+    hold their own items) and the per-channel cid bit prices.
+    """
+    from repro.util.bits import bits_for_int_array
+
     n = graph.n
     cids = sorted(trees)
     for cid in messages:
@@ -995,22 +1029,17 @@ def vectorized_faulty_broadcast(
     )
     mid_index = np.asarray(all_mids, dtype=np.int64)
     mid_row = {m: i for i, m in enumerate(all_mids)}
-    nbytes = max(1, (n + 7) // 8)
-    recv = np.zeros((len(all_mids), nbytes), dtype=np.uint8)
+    recv = np.zeros((len(all_mids), max(1, (n + 7) // 8)), dtype=np.uint8)
 
     chans = [_Channel(graph, trees[cid], messages.get(cid, {})) for cid in cids]
     stream = FaultStream(graph, plan, fault_seed)
     # Send-time bit pricing: bits_for_payload((kind, cid, mid)) with
     # kind ∈ {0, 1} → 2 bits, plus the cid and mid integer sizes.
-    from repro.util.bits import bits_for_int_array
-
     cid_bits = (
         bits_for_int_array(np.asarray(cids, dtype=np.int64))
         if cids
         else np.empty(0, dtype=np.int64)
     )
-    total_messages = 0
-    total_bits = 0
 
     # Roots know their own messages from the start (per _TrackingProgram).
     for ci, cid in enumerate(cids):
@@ -1021,20 +1050,29 @@ def vectorized_faulty_broadcast(
             np.bitwise_or.at(
                 recv, (rows, st.root >> 3), np.uint8(1 << (st.root & 7))
             )
+    return chans, stream, mid_index, mid_row, recv, cid_bits
 
-    if resolve_step(step) == "span":
-        if plan.drop_rate == 0.0:
-            kmax = [
-                sum(len(ms) for ms in messages.get(cid, {}).values()) for cid in cids
-            ]
-            if _span_broadcast_viable(n, chans, kmax):
-                return _span_faulty_broadcast(
-                    graph, chans, stream, plan, mid_index, mid_row, recv, cid_bits, nbytes
-                )
-        elif plan.drop_rate == 1.0 and not plan.mobile and not stream.dead.any():
-            return _span_faulty_broadcast_total_loss(
-                chans, stream, mid_index, recv, cid_bits, n
-            )
+
+def _round_faulty_broadcast(
+    graph: Graph,
+    chans: list[_Channel],
+    stream: FaultStream,
+    mid_index: np.ndarray,
+    mid_row: dict[int, int],
+    recv: np.ndarray,
+    cid_bits: np.ndarray,
+) -> FaultyBroadcastOutcome:
+    """Per-round replay of the faulty broadcast from its starting state.
+
+    Required for coin rates in (0, 1), mixed total-loss plans and
+    non-BFS-layered trees; the verify sweep also runs it against the
+    closed-form paths on the plans those cover.
+    """
+    from repro.util.bits import bits_for_int_array
+
+    n = graph.n
+    total_messages = 0
+    total_bits = 0
 
     def send_phase():
         """Pump every nonempty queue once, in canonical order; pop heads.

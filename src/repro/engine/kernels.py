@@ -5,13 +5,13 @@ Two primitives collapse the O(rounds) Python loops of
 :mod:`repro.engine.fastpath` and :mod:`repro.engine.faults` into
 O(events) numpy steps:
 
-* **Frontier sweeps as boolean SpMV** — :func:`frontier_sweep` runs each
-  BFS layer as one ``(1 × n) @ (n × n)`` boolean sparse matvec over the
-  Graph CSR arrays when :mod:`scipy.sparse` is importable (and the
-  subgraph is large enough to amortize matrix construction), falling
-  back to the pure-numpy gather sweep otherwise. Parents are adopted
-  inline as each layer lands; :func:`tree_parents` is the whole-array
-  reference the verify sweep cross-checks.
+* **Frontier sweeps as boolean SpMV** — :func:`frontier_sweep` runs one
+  BFS layer loop over the Graph CSR arrays. A wide layer advances as one
+  ``(1 × n) @ (n × n)`` boolean sparse matvec (:mod:`scipy.sparse`, a
+  hard dependency); a narrow layer, or any layer of a small subgraph,
+  advances by a numpy gather. Parents are adopted inline as each layer
+  lands; :func:`tree_parents` is the whole-array reference the verify
+  sweep cross-checks.
 
 * **Event-batched span stepping** — between queue-drain events the
   pipelined-broadcast recurrence is closed-form, so
@@ -20,17 +20,18 @@ O(events) numpy steps:
   are overlaid into arrival-rate spans (:func:`_overlay_spans`) and the
   work-conserving unit-rate queues are folded with a segmented max-plus
   scan (:func:`_busy_scan`). Total work is O((n + events) · depth-layers)
-  with no per-round Python iteration. :func:`upcast_rounds` keeps the
-  per-round reference loop for the ``"round"`` strategy and for the
-  span-vs-round equivalence checks in :mod:`repro.engine.verify`.
+  with no per-round Python iteration.
 
-Step strategies: every engine entry point with a hot round loop takes
-``step=None | "auto" | "round" | "span"``; ``None``/``"auto"`` defer to
-the ``REPRO_STEP`` environment variable (default ``"span"``). Both
-strategies are **bit-identical** — same rounds, bits, receipts, drops,
-and fault-RNG consumption — which the verify sweep enforces; span paths
-silently fall back to ``"round"`` on inputs outside their closed-form
-preconditions (non-BFS layering, positive drop rates, memory guards).
+No caller picks between span and per-round stepping. The fault-free
+pipelined broadcast accepts only BFS-layered trees and always takes
+:func:`upcast_spans`; :func:`upcast_rounds` survives solely as the
+per-round reference the verify sweep expands the spans against. The
+fault engine (:mod:`repro.engine.faults`) decides from its input: span
+paths need a BFS layering, ``drop_rate ∈ {0, 1}`` with no mobile set
+where the closed form requires it, and a memory guard; any other input
+runs a private per-round replay. Span and replay are **bit-identical**
+wherever both apply (same rounds, bits, receipts, drops and fault-RNG
+consumption); the verify sweep calls the replays directly to enforce it.
 
 Exactness of the batch-at-start model used throughout: an arrival span
 of rate ``ρ ≥ 1`` over rounds ``[a, b]`` delivers item ``i`` at
@@ -44,15 +45,11 @@ Overlay rates are counts of concurrently-busy children, hence always
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from repro import obs
-from repro.util.errors import ValidationError
 
 __all__ = [
-    "STEP_STRATEGIES",
     "children_csr",
     "children_lists",
     "expand_csr_rows",
@@ -60,59 +57,10 @@ __all__ = [
     "in_sorted",
     "last_send_round_spans",
     "lists_to_csr",
-    "resolve_step",
-    "scipy_sparse",
     "tree_parents",
     "upcast_rounds",
     "upcast_spans",
 ]
-
-
-# --------------------------------------------------------------------------- #
-# Step-strategy selection
-# --------------------------------------------------------------------------- #
-
-STEP_STRATEGIES = ("round", "span")
-
-
-def resolve_step(step: str | None = None) -> str:
-    """Resolve a ``step=`` argument to a concrete strategy.
-
-    ``None`` and ``"auto"`` defer to the ``REPRO_STEP`` environment
-    variable, defaulting to ``"span"``; anything else must name a member
-    of :data:`STEP_STRATEGIES`.
-    """
-    if step is None or step == "auto":
-        step = os.environ.get("REPRO_STEP") or "span"
-    if step not in STEP_STRATEGIES:
-        raise ValidationError(
-            f"unknown step strategy {step!r}; expected one of {STEP_STRATEGIES}"
-        )
-    return step
-
-
-_scipy_sparse_mod: object = None  # None = untried, False = unavailable
-
-
-def scipy_sparse():
-    """The :mod:`scipy.sparse` module, or ``None`` when unavailable.
-
-    The import is attempted once and cached; the ``REPRO_NO_SCIPY``
-    environment variable is consulted on *every* call so tests can force
-    the pure-numpy fallback without reloading modules. scipy is an
-    optional accelerator: no engine output depends on its presence.
-    """
-    global _scipy_sparse_mod
-    if os.environ.get("REPRO_NO_SCIPY"):
-        return None
-    if _scipy_sparse_mod is None:
-        try:
-            import scipy.sparse as _sp
-
-            _scipy_sparse_mod = _sp
-        except ImportError:  # pragma: no cover - scipy is in the dev image
-            _scipy_sparse_mod = False
-    return _scipy_sparse_mod or None
 
 
 # --------------------------------------------------------------------------- #
@@ -199,69 +147,47 @@ _SPMV_MIN_ARCS = 2048
 _SPMV_LAYER_ARCS = 32768
 
 
-def _bfs_layers_spmv(
+def _spmv_layer(
     sp,
-    n: int,
+    adj,
     indptr: np.ndarray,
     indices: np.ndarray,
     dist: np.ndarray,
     parent: np.ndarray,
-    roots: np.ndarray,
-) -> None:
-    """Fill ``dist`` and ``parent`` in place; wide layers advance by
-    boolean sparse matvec.
+    frontier: np.ndarray,
+    d: int,
+) -> np.ndarray:
+    """One boolean-matvec layer step: returns the sorted fresh layer and
+    adopts its parents in place.
 
-    Narrow layers (< :data:`_SPMV_LAYER_ARCS` out-arcs) use the same
-    gather step as :func:`_bfs_layers_numpy` — the candidate sets, and
-    therefore the layers, are identical either way; only the wall clock
-    differs. The adjacency matrix is built lazily on the first wide layer.
-
-    Wide layers adopt parents by scanning each *fresh* node's own CSR row
-    for its first (= smallest-id) previous-layer neighbor; the matvec
-    itself only yields the candidate set.
+    The matvec only yields the candidate set, whose ``indices`` scipy does
+    not promise to sort; the fresh layer is sorted here because the next
+    gather step's first-occurrence rule needs a sorted frontier. Parents
+    come from scanning each fresh node's own CSR row for its first
+    (= smallest-id) neighbor at depth ``d``. ``sp`` is the
+    :mod:`scipy.sparse` module that :func:`frontier_sweep` loaded.
     """
-    adj = None
-    frontier = roots
-    d = 0
-    while frontier.size:
-        obs.count("kernels.frontier_nodes", frontier.size)
-        obs.count("kernels.frontier_peak", frontier.size, "max")
-        arcs = int((indptr[frontier + 1] - indptr[frontier]).sum())
-        if arcs >= _SPMV_LAYER_ARCS:
-            obs.count("kernels.spmv_layers")
-            if adj is None:
-                adj = sp.csr_matrix(
-                    (np.ones(indices.size, dtype=bool), indices, indptr),
-                    shape=(n, n),
-                )
-            x = sp.csr_matrix(
-                (
-                    np.ones(frontier.size, dtype=bool),
-                    (np.zeros(frontier.size, dtype=np.int64), frontier),
-                ),
-                shape=(1, n),
-            )
-            cand = (x @ adj).indices.astype(np.int64, copy=False)
-            frontier = cand[dist[cand] < 0]  # sorted unique already
-            if not frontier.size:
-                break
-            fsel, fcounts, _offs = expand_csr_rows(indptr, frontier)
-            nb = indices[fsel]
-            good = np.flatnonzero(dist[nb] == d)  # fresh rows still hold -1
-            rows = np.repeat(
-                np.arange(frontier.size, dtype=np.int64), fcounts
-            )[good]
-            first = np.empty(good.size, dtype=bool)
-            first[0] = True
-            np.not_equal(rows[1:], rows[:-1], out=first[1:])
-            parent[frontier[rows[first]]] = nb[good[first]]
-        else:
-            obs.count("kernels.gather_layers")
-            frontier = _advance_layer(indptr, indices, dist, parent, frontier)
-            if not frontier.size:
-                break
-        d += 1
-        dist[frontier] = d
+    n = dist.size
+    x = sp.csr_matrix(
+        (
+            np.ones(frontier.size, dtype=bool),
+            (np.zeros(frontier.size, dtype=np.int64), frontier),
+        ),
+        shape=(1, n),
+    )
+    cand = (x @ adj).indices.astype(np.int64, copy=False)
+    fresh = np.sort(cand[dist[cand] < 0])
+    if not fresh.size:
+        return fresh
+    fsel, fcounts, _offs = expand_csr_rows(indptr, fresh)
+    nb = indices[fsel]
+    good = np.flatnonzero(dist[nb] == d)  # fresh rows still hold -1
+    rows = np.repeat(np.arange(fresh.size, dtype=np.int64), fcounts)[good]
+    first = np.empty(good.size, dtype=bool)
+    first[0] = True
+    np.not_equal(rows[1:], rows[:-1], out=first[1:])
+    parent[fresh[rows[first]]] = nb[good[first]]
+    return fresh
 
 
 def _advance_layer(
@@ -298,28 +224,6 @@ def _advance_layer(
     fresh = cand[first]
     parent[fresh] = src[order[first]]
     return fresh
-
-
-def _bfs_layers_numpy(
-    n: int,
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    dist: np.ndarray,
-    parent: np.ndarray,
-    roots: np.ndarray,
-) -> None:
-    """Pure-numpy twin of :func:`_bfs_layers_spmv` (gather + unique)."""
-    frontier = roots
-    d = 0
-    while frontier.size:
-        obs.count("kernels.frontier_nodes", frontier.size)
-        obs.count("kernels.frontier_peak", frontier.size, "max")
-        obs.count("kernels.gather_layers")
-        frontier = _advance_layer(indptr, indices, dist, parent, frontier)
-        if not frontier.size:
-            break
-        d += 1
-        dist[frontier] = d
 
 
 def tree_parents(
@@ -365,10 +269,11 @@ def frontier_sweep(
 ) -> tuple[np.ndarray, np.ndarray]:
     """BFS ``(parent, dist)`` over a CSR subgraph, SpMV-accelerated.
 
-    Layer expansion runs as boolean sparse matvecs when scipy is
-    available and the subgraph clears :data:`_SPMV_MIN_ARCS`; otherwise a
-    pure-numpy gather sweep. Either way the layers — and therefore the
-    parents chosen by :func:`tree_parents` — are identical.
+    One layer loop: a layer advances by boolean sparse matvec when the
+    subgraph clears :data:`_SPMV_MIN_ARCS` and the layer's frontier has at
+    least :data:`_SPMV_LAYER_ARCS` out-arcs, and by a numpy gather
+    otherwise. Both steps yield the same sorted layer and the same
+    parents, so the gates only move the wall clock.
 
     ``root`` may be a single node or a sorted array of roots lying in
     pairwise-disconnected components (the disjoint-union batching of
@@ -384,13 +289,36 @@ def frontier_sweep(
     dist = np.full(n, -1, dtype=np.int64)
     parent = np.full(n, -1, dtype=np.int64)
     dist[roots] = 0
-    sp = scipy_sparse() if indices.size >= _SPMV_MIN_ARCS else None
-    if sp is not None:
-        obs.count("kernels.spmv_sweeps")
-        _bfs_layers_spmv(sp, n, indptr, indices, dist, parent, roots)
-    else:
-        obs.count("kernels.gather_sweeps")
-        _bfs_layers_numpy(n, indptr, indices, dist, parent, roots)
+    spmv_ok = indices.size >= _SPMV_MIN_ARCS
+    adj = None
+    frontier = roots
+    d = 0
+    while frontier.size:
+        obs.count("kernels.frontier_nodes", frontier.size)
+        obs.count("kernels.frontier_peak", frontier.size, "max")
+        if spmv_ok and int(
+            (indptr[frontier + 1] - indptr[frontier]).sum()
+        ) >= _SPMV_LAYER_ARCS:
+            obs.count("kernels.spmv_layers")
+            if adj is None:  # built lazily on the first wide layer
+                # scipy loads here, not at module import, so callers that
+                # never sweep a wide layer (the simulator backend) skip it.
+                import scipy.sparse as sp
+
+                adj = sp.csr_matrix(
+                    (np.ones(indices.size, dtype=bool), indices, indptr),
+                    shape=(n, n),
+                )
+            frontier = _spmv_layer(
+                sp, adj, indptr, indices, dist, parent, frontier, d
+            )
+        else:
+            obs.count("kernels.gather_layers")
+            frontier = _advance_layer(indptr, indices, dist, parent, frontier)
+        if not frontier.size:
+            break
+        d += 1
+        dist[frontier] = d
     parent[roots] = roots
     return parent, dist
 
@@ -532,12 +460,12 @@ def upcast_spans(
 def upcast_rounds(
     up: np.ndarray, flat_parents: np.ndarray, is_root: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-round reference of the Lemma 1 upcast (the ``"round"`` strategy).
+    """Per-round replay of the Lemma 1 upcast.
 
     One sparse sweep over the nonempty UP queues per round; returns the
     root arrival stream ``(flat_targets, counts, rounds)`` in hit order.
-    ``up`` is not mutated. Kept verbatim as the bit-identity reference
-    for :func:`upcast_spans`.
+    ``up`` is not mutated. No engine path calls it: it is the bit-identity
+    reference that the verify sweep checks :func:`upcast_spans` against.
     """
     up = np.asarray(up, dtype=np.int64).copy()
     active = np.nonzero(up > 0)[0]
@@ -593,10 +521,10 @@ def last_send_round_spans(
     ``≥ 1``; a rate may be 0 only for a degenerate single-round batch
     such as the root's own items at round 0 — the batch-at-start model
     is exact either way since a width-1 span has no mid-span rounds).
-    Same closed form as the per-batch ``_last_send_round``: the maximum
-    of ``start_j + (items not yet arrived before span j)`` is attained
-    at span starts because the objective's slope inside a span is
-    ``1 - rate ≤ 0``.
+    The per-item recurrence ``t_i = max(a_i, t_{i-1} + 1)`` folds into
+    the maximum of ``start_j + (items not yet arrived before span j)``,
+    attained at span starts because the objective's slope inside a span
+    is ``1 - rate ≤ 0``.
     """
     w = (ends - starts + 1) * rates
     cum_before = np.cumsum(w) - w

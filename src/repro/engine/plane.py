@@ -48,7 +48,7 @@ import numpy as np
 
 from repro import obs
 from repro.engine import kernels
-from repro.engine.kernels import expand_csr_rows, frontier_sweep, scipy_sparse
+from repro.engine.kernels import expand_csr_rows, frontier_sweep
 from repro.util.errors import ValidationError
 from repro.util.rng import rng_from_seed
 
@@ -134,11 +134,7 @@ class QueryPlane:
         """Expand all live frontiers layer by layer until every query dies."""
         if self._swept:
             return self
-        sp = (
-            scipy_sparse()
-            if self.indices.size >= kernels._SPMV_MIN_ARCS
-            else None
-        )
+        spmv_ok = self.indices.size >= kernels._SPMV_MIN_ARCS
         adj = None
         d = 0
         fq, fv = self._fq, self._fv
@@ -147,8 +143,10 @@ class QueryPlane:
             arcs = int(counts.sum())
             if arcs == 0:
                 break
-            if sp is not None and arcs >= kernels._SPMV_LAYER_ARCS:
+            if spmv_ok and arcs >= kernels._SPMV_LAYER_ARCS:
                 obs.count("plane.spmv_layers")
+                import scipy.sparse as sp  # loaded on the first wide layer
+
                 if adj is None:
                     adj = sp.csr_matrix(
                         (

@@ -13,6 +13,7 @@ equivalent), so a failure names the exact field that diverged.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,8 +40,12 @@ __all__ = [
     "check_apsp_pipeline",
     "check_cuts_pipeline",
     "check_faulty_bfs",
+    "check_faulty_bfs_replay",
+    "check_faulty_broadcast_replay",
     "check_step_strategies",
     "check_faulty_step_strategies",
+    "gate_settings",
+    "spmv_gates",
     "check_bfs_batch",
     "check_broadcast_batch",
     "check_packing_candidates",
@@ -849,92 +854,100 @@ def check_tournament(graph: Graph, k: int, seed) -> list[str]:
     return []
 
 
-def check_step_strategies(graph: Graph, masks, k: int, seed, roots=None) -> list[str]:
-    """Span-batched stepping vs the per-round reference, plus direct
-    identities of the :mod:`repro.engine.kernels` primitives.
+@contextmanager
+def spmv_gates(min_arcs: int, layer_arcs: int):
+    """Temporarily set the frontier kernels' two SpMV gates.
 
-    The Lemma 1 pipeline must be bit-identical under ``step="round"`` and
-    ``step="span"`` (rounds, congestion, per-edge/total messages and bits);
-    ``frontier_sweep`` must agree between its scipy SpMV path and the pure
-    numpy fallback; ``upcast_spans`` expanded per round must replay
-    ``upcast_rounds``; and the small CSR/membership helpers must match
-    their numpy one-liners.
+    ``min_arcs`` stands in for ``kernels._SPMV_MIN_ARCS`` (the subgraph
+    size below which every layer gathers) and ``layer_arcs`` for
+    ``kernels._SPMV_LAYER_ARCS`` (the per-layer out-arc gate).
     """
-    import os
-
     from repro.engine import kernels
-    from repro.engine.fastpath import vectorized_tree_broadcast
+
+    saved = (kernels._SPMV_MIN_ARCS, kernels._SPMV_LAYER_ARCS)
+    kernels._SPMV_MIN_ARCS, kernels._SPMV_LAYER_ARCS = min_arcs, layer_arcs
+    try:
+        yield
+    finally:
+        kernels._SPMV_MIN_ARCS, kernels._SPMV_LAYER_ARCS = saved
+
+
+def gate_settings(indptr, indices, dists) -> list[tuple[str, int, int]]:
+    """The three ``(tag, min_arcs, layer_arcs)`` gate settings of every
+    frontier check, for a CSR and the BFS ``dists`` of its queries.
+
+    ``gather`` keeps every layer on the numpy gather and ``spmv`` sends
+    every layer through the boolean matvec. ``mixed`` sets the layer gate
+    to the widest layer's out-arc count, summed over the queries as the
+    query plane sees it. That layer advances by SpMV and the narrower
+    layers after it gather, so the sweep switches SpMV → gather mid-run.
+    """
+    deg = np.diff(indptr)
+    arcs = np.zeros(1, dtype=np.int64)
+    for dist in dists:
+        reached = dist >= 0
+        per = np.bincount(dist[reached], weights=deg[reached]).astype(np.int64)
+        if per.size > arcs.size:
+            per[: arcs.size] += arcs
+            arcs = per
+        else:
+            arcs[: per.size] += per
+    return [
+        ("gather", int(indices.size) + 1, 0),
+        ("spmv", 0, 0),
+        ("mixed", 0, max(1, int(arcs.max()))),
+    ]
+
+
+def check_step_strategies(graph: Graph, masks, k: int, seed, roots=None) -> list[str]:
+    """Span paths vs their per-round replays, plus direct identities of
+    the :mod:`repro.engine.kernels` primitives.
+
+    ``frontier_sweep`` must pick the smallest previous-layer neighbour
+    (:func:`~repro.engine.kernels.tree_parents`) under every
+    :func:`gate_settings` mix of SpMV and gather layers; ``upcast_spans``
+    expanded per round must replay ``upcast_rounds`` on the
+    channel-flattened trees of ``masks`` with ``k`` queued items (the
+    pipeline's root service is shared code, so equal arrivals mean equal
+    rounds); and the small CSR/membership helpers must match their numpy
+    one-liners.
+    """
+    from repro.engine import kernels
     from repro.primitives.bfs import run_parallel_bfs
-    from repro.util.errors import ValidationError
 
     out = []
     n = graph.n
     rng = ensure_rng(seed)
 
-    # -- strategy resolution -------------------------------------------- #
-    if (kernels.resolve_step("round"), kernels.resolve_step("span")) != (
-        "round",
-        "span",
-    ):
-        out.append("kernels: resolve_step mangles explicit strategies")
-    prev_step = os.environ.get("REPRO_STEP")
-    try:
-        os.environ["REPRO_STEP"] = "round"
-        if kernels.resolve_step(None) != "round" or kernels.resolve_step("auto") != "round":
-            out.append("kernels: resolve_step ignores REPRO_STEP")
-    finally:
-        if prev_step is None:
-            os.environ.pop("REPRO_STEP", None)
-        else:
-            os.environ["REPRO_STEP"] = prev_step
-    try:
-        kernels.resolve_step("bogus")
-        out.append("kernels: resolve_step accepted an unknown strategy")
-    except ValidationError:
-        pass
-
-    # -- frontier_sweep: scipy SpMV path vs pure-numpy fallback --------- #
+    # -- frontier_sweep: gather, SpMV and mixed layers vs tree_parents -- #
     root = int(rng.integers(n))
     indptr, indices = graph._indptr, graph._indices
-    saved_min = kernels._SPMV_MIN_ARCS
-    saved_layer = kernels._SPMV_LAYER_ARCS
-    prev_noscipy = os.environ.get("REPRO_NO_SCIPY")
-    try:
-        kernels._SPMV_MIN_ARCS = 0  # force SpMV even on tiny graphs
-        kernels._SPMV_LAYER_ARCS = 0  # ... and matvec steps on tiny layers
-        os.environ.pop("REPRO_NO_SCIPY", None)
-        sp_parent, sp_dist = kernels.frontier_sweep(n, indptr, indices, root)
-        os.environ["REPRO_NO_SCIPY"] = "1"
-        np_parent, np_dist = kernels.frontier_sweep(n, indptr, indices, root)
-    finally:
-        kernels._SPMV_MIN_ARCS = saved_min
-        kernels._SPMV_LAYER_ARCS = saved_layer
-        if prev_noscipy is None:
-            os.environ.pop("REPRO_NO_SCIPY", None)
-        else:
-            os.environ["REPRO_NO_SCIPY"] = prev_noscipy
-    if not np.array_equal(sp_parent, np_parent):
-        out.append("kernels: frontier_sweep parents differ scipy vs fallback")
-    if not np.array_equal(sp_dist, np_dist):
-        out.append("kernels: frontier_sweep dists differ scipy vs fallback")
-    if kernels.scipy_sparse() is not None and os.environ.get("REPRO_NO_SCIPY"):
-        out.append("kernels: scipy_sparse ignores REPRO_NO_SCIPY")
+    ref_parent, ref_dist = kernels.frontier_sweep(n, indptr, indices, root)
+    for tag, min_arcs, layer_arcs in gate_settings(indptr, indices, [ref_dist]):
+        with spmv_gates(min_arcs, layer_arcs):
+            parent, dist = kernels.frontier_sweep(n, indptr, indices, root)
+        if not np.array_equal(dist, ref_dist):
+            out.append(f"kernels: frontier_sweep[{tag}] dists differ")
+        if not np.array_equal(
+            parent, kernels.tree_parents(n, indptr, indices, dist, root)
+        ):
+            out.append(f"kernels: frontier_sweep[{tag}] breaks the parent rule")
 
     # -- tree_parents: the python smallest-previous-layer-neighbor rule - #
-    tp = kernels.tree_parents(n, indptr, indices, np_dist, root)
-    ref_parent = np.full(n, -1, dtype=np.int64)
-    ref_parent[root] = root
+    tp = kernels.tree_parents(n, indptr, indices, ref_dist, root)
+    py_parent = np.full(n, -1, dtype=np.int64)
+    py_parent[root] = root
     for v in range(n):
-        if v == root or np_dist[v] < 0:
+        if v == root or ref_dist[v] < 0:
             continue
         prev = [
             int(u)
             for u in indices[indptr[v] : indptr[v + 1]]
-            if np_dist[u] == np_dist[v] - 1
+            if ref_dist[u] == ref_dist[v] - 1
         ]
         if prev:
-            ref_parent[v] = min(prev)
-    if not (np.array_equal(tp, ref_parent) and np.array_equal(tp, np_parent)):
+            py_parent[v] = min(prev)
+    if not np.array_equal(tp, py_parent):
         out.append("kernels: tree_parents differs from the python reference")
 
     # -- last_send_round_spans vs a per-round queue walk ---------------- #
@@ -968,7 +981,7 @@ def check_step_strategies(graph: Graph, masks, k: int, seed, roots=None) -> list
         )
 
     # -- CSR builders and membership helpers ---------------------------- #
-    parent = np_parent.copy()
+    parent = ref_parent.copy()
     parent[root] = root  # tree convention: root is its own parent
     lists = kernels.children_lists(parent)
     ref_lists: list[list[int]] = [[] for _ in range(n)]
@@ -1005,83 +1018,111 @@ def check_step_strategies(graph: Graph, masks, k: int, seed, roots=None) -> list
     if not np.array_equal(kernels.in_sorted(values, table), np.isin(values, table)):
         out.append("kernels: in_sorted differs from np.isin")
 
-    # -- upcast_spans expanded per round == upcast_rounds --------------- #
-    up = rng.integers(0, 4, size=n).astype(np.int64)
-    up[root] = 0
-    is_root = np.zeros(n, dtype=bool)
-    is_root[root] = True
-    hf, hc, hr = kernels.upcast_rounds(up, parent, is_root)
-    sn, sb, se, sr = kernels.upcast_spans(up, parent, np_dist)
-    widths = se - sb + 1
-    ef = np.repeat(sn, widths)
-    ec = np.repeat(sr, widths)
-    er = (
-        np.concatenate([np.arange(b, e + 1) for b, e in zip(sb, se)])
-        if sn.size
-        else np.empty(0, dtype=np.int64)
-    )
-    ref = np.lexsort((hf, hr))
-    got = np.lexsort((ef, er))
-    if not (
-        np.array_equal(hf[ref], ef[got])
-        and np.array_equal(hc[ref], ec[got])
-        and np.array_equal(hr[ref], er[got])
-    ):
-        out.append("kernels: upcast_spans expansion != upcast_rounds")
-
-    # -- Lemma 1 pipeline: span vs round, full outcome ------------------ #
+    # -- upcast_spans expanded per round == upcast_rounds, on the channel-
+    #    flattened trees and queues the Lemma 1 pipeline feeds them ------ #
     if graph.m:
         results, _ = run_parallel_bfs(graph, masks, roots=roots, backend="vectorized")
     else:  # edgeless host: run_parallel_bfs needs arcs to stack masks over
         from repro.primitives.bfs import run_bfs
 
         results = [run_bfs(graph, 0, backend="vectorized")]
-    trees = {c: r for c, r in enumerate(results) if r.spans()}
+    trees = [r for r in results if r.spans()]
     if trees:
-        cids = sorted(trees)
-        messages: dict[int, dict[int, list[int]]] = {c: {} for c in cids}
-        for j in range(1, k + 1):
-            c = cids[int(rng.integers(len(cids)))]
-            v = int(rng.integers(n))
-            messages[c].setdefault(v, []).append(j)
-        rnd = vectorized_tree_broadcast(graph, trees, messages, step="round")
-        spn = vectorized_tree_broadcast(graph, trees, messages, step="span")
-        if rnd.rounds != spn.rounds:
-            out.append(f"step: pipeline rounds {rnd.rounds} != {spn.rounds}")
-        if rnd.max_congestion != spn.max_congestion:
-            out.append("step: pipeline congestion differs span vs round")
-        if not np.array_equal(
-            rnd.metrics.edge_messages, spn.metrics.edge_messages
+        C = len(trees)
+        parents = np.stack([np.asarray(t.parent) for t in trees])
+        flat_parents = (parents + (np.arange(C) * n)[:, None]).ravel()
+        flat_dist = np.concatenate([np.asarray(t.dist) for t in trees])
+        is_root = (parents == np.arange(n)).ravel()
+        up = np.bincount(rng.integers(0, C * n, size=k), minlength=C * n)
+        up[is_root] = 0
+        hf, hc, hr = kernels.upcast_rounds(up, flat_parents, is_root)
+        sn, sb, se, sr = kernels.upcast_spans(up, flat_parents, flat_dist)
+        widths = se - sb + 1
+        ef = np.repeat(sn, widths)
+        ec = np.repeat(sr, widths)
+        er = (
+            np.concatenate([np.arange(b, e + 1) for b, e in zip(sb, se)])
+            if sn.size
+            else np.empty(0, dtype=np.int64)
+        )
+        ref = np.lexsort((hf, hr))
+        got = np.lexsort((ef, er))
+        if not (
+            np.array_equal(hf[ref], ef[got])
+            and np.array_equal(hc[ref], ec[got])
+            and np.array_equal(hr[ref], er[got])
         ):
-            out.append("step: per-edge message counts differ span vs round")
-        if (rnd.metrics.total_messages, rnd.metrics.total_bits) != (
-            spn.metrics.total_messages,
-            spn.metrics.total_bits,
-        ):
-            out.append("step: message/bit totals differ span vs round")
-        if rnd.per_channel_k != spn.per_channel_k:
-            out.append("step: per-channel k differ span vs round")
+            out.append("kernels: upcast_spans expansion != upcast_rounds")
+    return out
+
+
+def check_faulty_bfs_replay(graph: Graph, root: int, plan, fault_seed) -> list[str]:
+    """Vectorized faulty flood vs its per-round replay, run directly past
+    the span shortcuts: forest, rounds, drops and the fault RNG state."""
+    from repro.engine.faults import (
+        FaultStream,
+        _round_faulty_bfs,
+        vectorized_faulty_bfs,
+    )
+
+    got = vectorized_faulty_bfs(graph, root, plan=plan, fault_seed=fault_seed)
+    stream = FaultStream(graph, plan, fault_seed)
+    ref = _round_faulty_bfs(graph, root, stream, *graph.masked_csr(None))
+    out = _diff_bfs(ref.result, got.result, "step-faulty-bfs")
+    if ref.dropped != got.dropped:
+        out.append("step-faulty-bfs: dropped counts differ")
+    if ref.fault_rng_state != got.fault_rng_state:
+        out.append("step-faulty-bfs: fault RNG streams diverged")
+    return out
+
+
+def check_faulty_broadcast_replay(
+    graph: Graph, trees, messages, plan, fault_seed
+) -> list[str]:
+    """Vectorized faulty broadcast vs its per-round replay, run directly
+    past the span shortcuts: rounds, drops, receipts, coverage, bit totals
+    and the fault RNG state."""
+    from repro.engine.faults import (
+        _faulty_broadcast_state,
+        _round_faulty_broadcast,
+        vectorized_faulty_broadcast,
+    )
+
+    got = vectorized_faulty_broadcast(
+        graph, trees, messages, plan=plan, fault_seed=fault_seed
+    )
+    state = _faulty_broadcast_state(graph, trees, messages, plan, fault_seed)
+    ref = _round_faulty_broadcast(graph, *state)
+    out = []
+    if ref.rounds != got.rounds:
+        out.append(f"step-redundant: rounds {ref.rounds} != {got.rounds}")
+    if ref.dropped != got.dropped:
+        out.append("step-redundant: dropped counts differ")
+    if not np.array_equal(ref.receipt_counts, got.receipt_counts):
+        out.append("step-redundant: coverage differs")
+    if not np.array_equal(ref.receipt_bits, got.receipt_bits):
+        out.append("step-redundant: receipt sets differ")
+    if ref.fault_rng_state != got.fault_rng_state:
+        out.append("step-redundant: fault RNG streams diverged")
+    if (ref.total_messages, ref.total_bits) != (got.total_messages, got.total_bits):
+        out.append("step-redundant: message/bit totals differ")
     return out
 
 
 def check_faulty_step_strategies(
     graph: Graph, k: int, seed, parts: int = 2
 ) -> list[str]:
-    """Fault engine: span-batched paths vs the per-round reference.
+    """Fault engine: every path the input selects vs the per-round replay.
 
-    Runs faulty BFS and redundant broadcast once per step strategy on a
-    rate-0 plan (dead + mobile edges — the span fastpath's home turf) and
-    once on a ``drop_rate>0`` plan (where span must silently fall back to
-    the identical per-round walk), comparing the *entire* outcome: forest,
-    rounds, drops, receipts, coverage, bit totals, and the fault RNG state.
+    Runs faulty BFS and a redundant faulty broadcast on a rate-0 plan
+    (dead + mobile edges — the span path's home turf), a ``drop_rate>0``
+    plan (where the engine itself replays per round) and a pure total-loss
+    plan (closed-form), comparing the whole outcome with the replay.
     """
-    from repro.core.broadcast import uniform_random_placement
-    from repro.core.resilient import redundant_broadcast
-    from repro.core.tree_packing import build_packing_with_retry
-    from repro.engine.faults import faulty_bfs
-    from repro.util.errors import ValidationError
-
     from repro.congest.adversary import FaultPlan
+    from repro.core.broadcast import _bfs_view
+    from repro.core.tree_packing import build_packing_with_retry
+    from repro.util.errors import ValidationError
 
     rng = ensure_rng(seed)
     root = int(rng.integers(graph.n))
@@ -1093,20 +1134,11 @@ def check_faulty_step_strategies(
         # closed-form (no dead/mobile: those force the round replay).
         FaultPlan(drop_rate=1.0),
     ]
-    for tag, plan in zip(("rate0", "lossy", "total-loss"), plans):
-        runs = {}
-        for step in ("round", "span"):
-            r = faulty_bfs(
-                graph, root, plan=plan, fault_seed=seed,
-                backend="vectorized", step=step,
-            )
-            runs[step] = r
-        diff = _diff_bfs(runs["round"].result, runs["span"].result, f"step-faulty-bfs[{tag}]")
-        out.extend(diff)
-        if runs["round"].dropped != runs["span"].dropped:
-            out.append(f"step-faulty-bfs[{tag}]: dropped counts differ")
-        if runs["round"].fault_rng_state != runs["span"].fault_rng_state:
-            out.append(f"step-faulty-bfs[{tag}]: fault RNG streams diverged")
+    tags = ("rate0", "lossy", "total-loss")
+    for tag, plan in zip(tags, plans):
+        out.extend(
+            f"{m} [{tag}]" for m in check_faulty_bfs_replay(graph, root, plan, seed)
+        )
 
     try:
         packing, _ = build_packing_with_retry(
@@ -1114,38 +1146,20 @@ def check_faulty_step_strategies(
         )
     except ValidationError:
         return out
-    placement = uniform_random_placement(graph.n, k, seed=seed)
+    trees = {c: _bfs_view(packing, c) for c in range(packing.size)}
     redundancy = min(2, packing.size)
-    for tag, plan in zip(("rate0", "lossy", "total-loss"), plans):
-        reports = {}
-        for step in ("round", "span"):
-            reports[step] = redundant_broadcast(
-                graph,
-                placement,
-                packing,
-                redundancy=redundancy,
-                dead_edges=plan.dead_edges,
-                drop_rate=plan.drop_rate,
-                mobile=plan.mobile,
-                seed=seed,
-                fault_seed=seed + 1,
-                backend="vectorized",
-                collect_receipts=True,
-                step=step,
+    messages: dict[int, dict[int, list[int]]] = {c: {} for c in trees}
+    for j in range(1, k + 1):
+        v = int(rng.integers(graph.n))
+        for i in range(redundancy):  # copies ride distinct trees
+            messages[(j + i) % packing.size].setdefault(v, []).append(j)
+    for tag, plan in zip(tags, plans):
+        out.extend(
+            f"{m} [{tag}]"
+            for m in check_faulty_broadcast_replay(
+                graph, trees, messages, plan, seed + 1
             )
-        a, b = reports["round"], reports["span"]
-        if a.rounds != b.rounds:
-            out.append(f"step-redundant[{tag}]: rounds {a.rounds} != {b.rounds}")
-        if a.dropped_messages != b.dropped_messages:
-            out.append(f"step-redundant[{tag}]: dropped counts differ")
-        if a.per_message_coverage != b.per_message_coverage:
-            out.append(f"step-redundant[{tag}]: coverage differs")
-        if a.receipts != b.receipts:
-            out.append(f"step-redundant[{tag}]: receipt sets differ")
-        if a.fault_rng_state != b.fault_rng_state:
-            out.append(f"step-redundant[{tag}]: fault RNG streams diverged")
-        if (a.total_messages, a.total_bits) != (b.total_messages, b.total_bits):
-            out.append(f"step-redundant[{tag}]: message/bit totals differ")
+        )
     return out
 
 
@@ -1153,13 +1167,10 @@ def check_bfs_batch(graph: Graph, roots, edge_mask=None) -> list[str]:
     """run_bfs_batch == loop of run_bfs, element-wise, on both backends.
 
     The vectorized batch rides the :class:`~repro.engine.plane.QueryPlane`
-    sweep; one pass also forces the plane's SpMV branch (gates zeroed, with
-    and without scipy) so every stepping variant of the plane is certified
-    against the solo kernels.
+    sweep; it also runs under every :func:`gate_settings` mix of SpMV and
+    gather layers, so each layer step of the plane is certified against
+    the simulator.
     """
-    import os
-
-    from repro.engine import kernels
     from repro.primitives.bfs import run_bfs, run_bfs_batch
 
     out = []
@@ -1172,28 +1183,16 @@ def check_bfs_batch(graph: Graph, roots, edge_mask=None) -> list[str]:
         batch = run_bfs_batch(graph, roots, edge_mask=edge_mask, backend=backend)
         for i, (a, b) in enumerate(zip(solos[backend], batch)):
             out.extend(_diff_bfs(a, b, f"bfs-batch[{backend}][{i}]"))
-    saved = (kernels._SPMV_MIN_ARCS, kernels._SPMV_LAYER_ARCS)
-    had = os.environ.get("REPRO_NO_SCIPY")
-    try:
-        kernels._SPMV_MIN_ARCS = 0
-        kernels._SPMV_LAYER_ARCS = 0
-        for noscipy in (False, True):
-            if noscipy:
-                os.environ["REPRO_NO_SCIPY"] = "1"
-            elif had is not None:
-                os.environ.pop("REPRO_NO_SCIPY", None)
+    mask = None if edge_mask is None else np.asarray(edge_mask, dtype=bool)
+    indptr, indices = graph.masked_csr(mask)
+    dists = [r.dist for r in solos["vectorized"]]
+    for tag, min_arcs, layer_arcs in gate_settings(indptr, indices, dists):
+        with spmv_gates(min_arcs, layer_arcs):
             batch = run_bfs_batch(
                 graph, roots, edge_mask=edge_mask, backend="vectorized"
             )
-            tag = "spmv-noscipy" if noscipy else "spmv"
-            for i, (a, b) in enumerate(zip(solos["simulator"], batch)):
-                out.extend(_diff_bfs(a, b, f"bfs-batch[{tag}][{i}]"))
-    finally:
-        kernels._SPMV_MIN_ARCS, kernels._SPMV_LAYER_ARCS = saved
-        if had is None:
-            os.environ.pop("REPRO_NO_SCIPY", None)
-        else:
-            os.environ["REPRO_NO_SCIPY"] = had
+        for i, (a, b) in enumerate(zip(solos["simulator"], batch)):
+            out.extend(_diff_bfs(a, b, f"bfs-batch[{tag}][{i}]"))
     return out
 
 

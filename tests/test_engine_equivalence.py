@@ -27,6 +27,8 @@ from repro.engine.verify import (
     check_coverage_repair,
     check_cuts_pipeline,
     check_faulty_bfs,
+    check_faulty_bfs_replay,
+    check_faulty_broadcast_replay,
     check_faulty_step_strategies,
     check_leader,
     check_numbering,
@@ -46,7 +48,7 @@ from repro.engine.verify import (
     verify_equivalence,
 )
 from repro.graphs import Graph, path_of_cliques, random_weights, thick_cycle
-from repro.primitives.bfs import run_bfs, run_parallel_bfs
+from repro.primitives.bfs import BFSResult, run_bfs, run_parallel_bfs
 from repro.util.errors import BandwidthExceeded, ValidationError
 
 _SETTINGS = settings(
@@ -152,6 +154,22 @@ class TestPipelineEquivalence:
         tree = run_bfs(g, 0, backend="vectorized")
         with pytest.raises(ValidationError):
             vectorized_tree_broadcast(g, {0: tree, 1: tree}, {0: {0: [1]}, 1: {0: [2]}})
+
+    def test_non_bfs_layered_tree_rejected(self):
+        """``dist`` must be the tree depth: the span upcast, the depth
+        term and the convergecast all read it that way."""
+        g = thick_cycle(4, 3)
+        tree = run_bfs(g, 0, backend="vectorized")
+        leaf = int(np.argmax(tree.dist))
+        for bump_root in (False, True):
+            dist = tree.dist.copy()
+            if bump_root:
+                dist[tree.root] = 1
+            else:
+                dist[leaf] += 1
+            bad = BFSResult(tree.root, tree.parent.copy(), dist, None, tree.rounds)
+            with pytest.raises(ValidationError, match="BFS-layered"):
+                vectorized_tree_broadcast(g, {0: bad}, {0: {leaf: [1]}})
 
 
 class TestPackingEquivalence:
@@ -517,7 +535,7 @@ class TestRobustnessEquivalence:
 
 
 class TestStepStrategyEquivalence:
-    """Span-batched stepping (ISSUE 8): one deterministic anchor here; the
+    """Span paths vs per-round replays: deterministic anchors here; the
     randomized property suite lives in ``tests/test_span_engine.py``."""
 
     def test_step_checks_on_packing_host(self):
@@ -525,6 +543,21 @@ class TestStepStrategyEquivalence:
         masks = random_edge_masks(g, 2, seed=3)
         assert check_step_strategies(g, masks, 20, seed=4) == []
         assert check_faulty_step_strategies(g, 20, seed=5, parts=2) == []
+
+    @pytest.mark.parametrize("rate", [0.0, 0.3, 1.0])
+    def test_replay_checks_with_mobile_faults(self, rate):
+        """Mobile sets at every rate: the engine picks span or replay
+        itself, and must match the replay run directly."""
+        from repro.core.broadcast import _bfs_view
+        from repro.core.tree_packing import build_packing_with_retry
+
+        g = thick_cycle(8, 5)
+        plan = random_fault_plan(g, seed=7, rate=rate)
+        assert check_faulty_bfs_replay(g, 3, plan, 9) == []
+        packing, _ = build_packing_with_retry(g, 2, seed=1, distributed=False)
+        trees = {c: _bfs_view(packing, c) for c in range(packing.size)}
+        messages = {c: {v: [2 * v + c + 1] for v in range(c, g.n, 3)} for c in trees}
+        assert check_faulty_broadcast_replay(g, trees, messages, plan, 9) == []
 
 
 class TestHarnessSweep:

@@ -23,8 +23,10 @@ from repro.engine.verify import (
     check_broadcast_batch,
     check_fault_grid,
     check_packing_candidates,
+    gate_settings,
     random_connected_graph,
     random_edge_masks,
+    spmv_gates,
 )
 from repro.graphs import Graph, thick_cycle
 from repro.primitives.bfs import run_bfs, run_bfs_batch
@@ -112,20 +114,34 @@ class TestPlaneVsSolo:
         for a, b in zip(full, tiny):
             assert np.array_equal(a, b)
 
-    def test_forced_spmv_layers_match_gather(self, monkeypatch):
+    def test_forced_spmv_layers_match_gather(self):
         g = thick_cycle(8, 4)
         indptr, indices = g.masked_csr(None)
         roots = [0, 5, 17, 5]
         base = plane_sweep(g.n, indptr, indices, roots)
-        monkeypatch.setattr(kernels, "_SPMV_MIN_ARCS", 0)
-        monkeypatch.setattr(kernels, "_SPMV_LAYER_ARCS", 0)
-        forced = plane_sweep(g.n, indptr, indices, roots)
-        for a, b in zip(base, forced):
-            assert np.array_equal(a, b)
-        monkeypatch.setenv("REPRO_NO_SCIPY", "1")
-        fallback = plane_sweep(g.n, indptr, indices, roots)
-        for a, b in zip(base, fallback):
-            assert np.array_equal(a, b)
+        for _tag, min_arcs, layer_arcs in gate_settings(indptr, indices, base[1]):
+            with spmv_gates(min_arcs, layer_arcs):
+                parent, dist, rounds = plane_sweep(g.n, indptr, indices, roots)
+            assert np.array_equal(dist, base[1])
+            assert np.array_equal(rounds, base[2])
+            for q, r in enumerate(roots):
+                ref = kernels.tree_parents(g.n, indptr, indices, dist[q], r)
+                assert np.array_equal(parent[q], ref)
+
+
+    def test_mixed_gates_on_wide_host(self):
+        """Wide host: the mixed gate sends the widest plane layer through
+        SpMV and gathers the rest, per query the smallest-neighbour rule."""
+        g = thick_cycle(40, 30)
+        indptr, indices = g.masked_csr(None)
+        roots = [0, 7, 600]
+        dists = plane_sweep(g.n, indptr, indices, roots)[1]
+        for _tag, min_arcs, layer_arcs in gate_settings(indptr, indices, dists):
+            with spmv_gates(min_arcs, layer_arcs):
+                parent, dist, _rounds = plane_sweep(g.n, indptr, indices, roots)
+            for q, r in enumerate(roots):
+                ref = kernels.tree_parents(g.n, indptr, indices, dist[q], r)
+                assert np.array_equal(parent[q], ref)
 
 
 class TestPlaneEdges:

@@ -1,12 +1,12 @@
-"""Property tests for the span-batched step strategy (ISSUE 8).
+"""Property tests for the span-batched engine paths.
 
-``step="span"`` advances the Lemma 1 queue recurrence and the rate-0
-fault engine one numpy step per *event* instead of per round. These
-tests assert it is **bit-identical** to the per-round reference —
+The span paths advance the Lemma 1 queue recurrence and the rate-0 and
+total-loss fault engines one numpy step per *event* instead of per round.
+These tests assert they are **bit-identical** to the per-round replays —
 receipts, rounds, bits, drops, and the fault RNG stream — on randomized
 graphs and fault plans, including the ``drop_rate=1.0`` and single-node
-boundaries, and that the scipy SpMV frontier kernel matches its
-pure-numpy fallback.
+boundaries, and that the frontier kernel's SpMV and gather layers pick
+the same parents in any mix.
 """
 
 import numpy as np
@@ -14,40 +14,27 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.engine import STEP_STRATEGIES, resolve_step
+from repro.engine import kernels
 from repro.engine.verify import (
+    check_bfs_batch,
+    check_faulty_bfs_replay,
+    check_faulty_broadcast_replay,
     check_faulty_step_strategies,
     check_step_strategies,
+    gate_settings,
     random_connected_graph,
     random_edge_masks,
     random_fault_plan,
+    spmv_gates,
 )
 from repro.graphs import Graph, thick_cycle
-from repro.util.errors import ValidationError
+from repro.primitives.bfs import run_bfs
 
 _SETTINGS = settings(
     max_examples=15,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-
-
-class TestStepResolution:
-    def test_explicit_strategies(self):
-        assert STEP_STRATEGIES == ("round", "span")
-        for s in STEP_STRATEGIES:
-            assert resolve_step(s) == s
-
-    def test_auto_defers_to_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_STEP", raising=False)
-        assert resolve_step(None) == "span"
-        assert resolve_step("auto") == "span"
-        monkeypatch.setenv("REPRO_STEP", "round")
-        assert resolve_step(None) == "round"
-
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(ValidationError):
-            resolve_step("turbo")
 
 
 class TestSpanPipelineEquivalence:
@@ -101,95 +88,71 @@ class TestSpanFaultEquivalence:
     @_SETTINGS
     @given(seed=st.integers(0, 10_000), k=st.integers(0, 16))
     def test_total_loss_boundary(self, seed, k):
-        """drop_rate=1.0: every coin flipped, nothing delivered — both
-        strategies must burn the identical RNG stream."""
-        from repro.core.broadcast import uniform_random_placement
-        from repro.core.resilient import redundant_broadcast
+        """drop_rate=1.0: every coin flipped, nothing delivered — the
+        closed form must burn the replay's identical RNG stream."""
+        from repro.congest.adversary import FaultPlan
+        from repro.core.broadcast import _bfs_view
         from repro.core.tree_packing import build_packing_with_retry
 
         g = thick_cycle(6, 4)
         packing, _ = build_packing_with_retry(g, 2, seed=seed, distributed=False)
-        placement = uniform_random_placement(g.n, k, seed=seed)
-        reports = {
-            step: redundant_broadcast(
-                g,
-                placement,
-                packing,
-                redundancy=2,
-                drop_rate=1.0,
-                seed=seed,
-                fault_seed=seed + 1,
-                backend="vectorized",
-                collect_receipts=True,
-                step=step,
-            )
-            for step in STEP_STRATEGIES
-        }
-        a, b = reports["round"], reports["span"]
-        assert a.rounds == b.rounds
-        assert a.dropped_messages == b.dropped_messages
-        assert a.per_message_coverage == b.per_message_coverage
-        assert a.receipts == b.receipts
-        assert a.fault_rng_state == b.fault_rng_state
-        assert (a.total_messages, a.total_bits) == (b.total_messages, b.total_bits)
+        trees = {c: _bfs_view(packing, c) for c in range(packing.size)}
+        rng = np.random.default_rng(seed)
+        messages = {c: {} for c in trees}
+        for j in range(1, k + 1):
+            v = int(rng.integers(g.n))
+            for c in trees:  # redundancy 2: every copy on both trees
+                messages[c].setdefault(v, []).append(j)
+        plan = FaultPlan(drop_rate=1.0)
+        assert check_faulty_broadcast_replay(g, trees, messages, plan, seed + 1) == []
 
     def test_single_node_faulty_bfs(self):
-        from repro.engine.faults import faulty_bfs
-
         g = Graph(1, [])
         plan = random_fault_plan(g, seed=1, rate=0.0)
-        runs = {
-            step: faulty_bfs(
-                g, 0, plan=plan, fault_seed=2, backend="vectorized", step=step
-            )
-            for step in STEP_STRATEGIES
-        }
-        a, b = runs["round"], runs["span"]
-        assert np.array_equal(a.result.parent, b.result.parent)
-        assert a.result.rounds == b.result.rounds
-        assert a.dropped == b.dropped
-        assert a.fault_rng_state == b.fault_rng_state
+        assert check_faulty_bfs_replay(g, 0, plan, 2) == []
+
+
+def _rule_breaks(g: Graph, root: int) -> int:
+    """Vectorized BFS parents that are not the smallest previous-layer
+    neighbour (the simulator's adoption rule)."""
+    res = run_bfs(g, root, backend="vectorized")
+    ref = kernels.tree_parents(g.n, g._indptr, g._indices, res.dist, root)
+    return int((res.parent != ref).sum())
 
 
 class TestScipyFallback:
-    """The SpMV kernel is an optional accelerator, never a dependency."""
+    """Narrow layers fall back from the scipy matvec to the numpy gather;
+    any mix of the two must keep the smallest-neighbour parent rule."""
 
-    def test_frontier_sweep_matches_fallback(self, monkeypatch):
-        from repro.engine import kernels
-
+    def test_frontier_sweep_matches_fallback(self):
         g = random_connected_graph(30, 40, seed=5)
-        monkeypatch.setattr(kernels, "_SPMV_MIN_ARCS", 0)
-        monkeypatch.setattr(kernels, "_SPMV_LAYER_ARCS", 0)
-        monkeypatch.delenv("REPRO_NO_SCIPY", raising=False)
-        with_scipy = kernels.frontier_sweep(g.n, g._indptr, g._indices, 0)
-        monkeypatch.setenv("REPRO_NO_SCIPY", "1")
-        without = kernels.frontier_sweep(g.n, g._indptr, g._indices, 0)
-        assert np.array_equal(with_scipy[0], without[0])
-        assert np.array_equal(with_scipy[1], without[1])
+        indptr, indices = g._indptr, g._indices
+        _parent, base = kernels.frontier_sweep(g.n, indptr, indices, 0)
+        for _tag, min_arcs, layer_arcs in gate_settings(indptr, indices, [base]):
+            with spmv_gates(min_arcs, layer_arcs):
+                parent, dist = kernels.frontier_sweep(g.n, indptr, indices, 0)
+            assert np.array_equal(dist, base)
+            ref = kernels.tree_parents(g.n, indptr, indices, dist, 0)
+            assert np.array_equal(parent, ref)
 
-    def test_no_scipy_env_disables_import(self, monkeypatch):
-        from repro.engine import kernels
+    def test_spmv_to_gather_transition_keeps_parent_rule(self):
+        """A wide SpMV layer hands an unsorted candidate list to the next
+        gather layer unless the kernel sorts it."""
+        with spmv_gates(0, 4096):
+            assert _rule_breaks(thick_cycle(40, 30), 0) == 0
 
-        monkeypatch.setenv("REPRO_NO_SCIPY", "1")
-        assert kernels.scipy_sparse() is None
+    def test_bfs_batch_gate_mixes_match_simulator(self):
+        g = thick_cycle(12, 10)
+        assert check_bfs_batch(g, [0, 0, 57]) == []
+        mask = random_edge_masks(g, 1, seed=4)[0]
+        assert check_bfs_batch(g, [3, 90], edge_mask=mask) == []
 
-    def test_engine_usable_without_scipy(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_SCIPY", "1")
-        g = thick_cycle(6, 4)
-        masks = random_edge_masks(g, 2, seed=7)
-        assert check_step_strategies(g, masks, 12, seed=8) == []
-
-
-class TestEnvStepOverride:
-    def test_repro_step_env_steers_default(self, monkeypatch):
-        """step=None paths obey REPRO_STEP — and both settings agree."""
-        from repro.core.broadcast import textbook_broadcast, uniform_random_placement
-
-        g = thick_cycle(6, 4)
-        placement = uniform_random_placement(g.n, 10, seed=1)
-        results = {}
-        for env in ("round", "span"):
-            monkeypatch.setenv("REPRO_STEP", env)
-            res = textbook_broadcast(g, placement, backend="vectorized")
-            results[env] = (res.phases, res.max_congestion)
-        assert results["round"] == results["span"]
+    @pytest.mark.slow
+    def test_thick_cycle_n10k_matches_simulator(self):
+        """n = 10⁴, where default gates first mix SpMV and gather layers."""
+        g = thick_cycle(125, 80)
+        sim = run_bfs(g, 0, backend="simulator")
+        vec = run_bfs(g, 0, backend="vectorized")
+        assert np.array_equal(sim.dist, vec.dist)
+        assert np.array_equal(sim.parent, vec.parent)
+        assert sim.rounds == vec.rounds
