@@ -3,9 +3,9 @@
 E16/E17 evaluate (scenario × defense × seed) grids; until now every cell
 re-ran the engine from a cold start — per-call CSR builds and, on deep
 hosts, thousands of tiny per-layer numpy dispatches, repeated once per
-query. The :class:`repro.engine.plane.QueryPlane` packs all queries into
-one bit-packed (queries × nodes) plane so a whole grid shares a single
-layer loop (:func:`repro.engine.faults.faulty_bfs_grid`), with every
+query. :func:`repro.engine.plane.plane_sweep` keys all queries into one
+flat (queries × nodes) plane so a whole grid shares the engine's single
+BFS layer loop (:func:`repro.engine.faults.faulty_bfs_grid`), with every
 element bit-identical to its standalone call — forest, rounds, drop
 count, and fault RNG state.
 

@@ -67,8 +67,15 @@ fault engine's closed form does not apply (coin rates in (0, 1), mobile
 sets where the closed form needs none, non-BFS layerings, memory guards)
 a per-round replay runs instead, bit-identical where both apply (same
 rounds, bits, receipts, RNG stream). The fault-free pipelined broadcast
-has no replay: it requires BFS-layered trees. BFS layers advance by boolean sparse matvec
-(:mod:`scipy.sparse`, a hard dependency) or by numpy gather, per layer.
+has no replay: it requires BFS-layered trees.
+
+Every vectorized BFS — solo, the broadcast prologue, the parallel-channel
+union, the multi-query plane (:mod:`repro.engine.plane`) and the static
+dead-edge fault path — runs through one layer loop in
+:mod:`repro.engine.kernels`, with Q queries over one CSR keyed
+``q·n + v`` in flat ``dist``/``parent`` arrays. Each layer advances by
+boolean sparse matvec (:mod:`scipy.sparse`, a hard dependency) or by
+numpy gather, picked per layer from its width.
 
 Callers opt in via the ``backend=`` parameter threaded through
 :func:`repro.primitives.bfs.run_bfs`,

@@ -36,28 +36,6 @@ __all__ = [
 
 
 # --------------------------------------------------------------------------- #
-# CSR helpers
-# --------------------------------------------------------------------------- #
-
-def _channel_adjacency(
-    graph: Graph, edge_mask: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """CSR (indptr, indices) of the subgraph keeping only masked edges.
-
-    Thin wrapper over :meth:`Graph.masked_csr`, which memoizes the filtered
-    arrays per (graph, mask) pair — repeated traversals of one decomposition
-    (parallel channels, packing retries, both-backend sweeps) reuse them.
-    """
-    return graph.masked_csr(edge_mask)
-
-
-# BFS sweeps and tree-children construction live in repro.engine.kernels
-# (frontier_sweep / tree_parents / children_lists), shared with
-# repro.engine.faults; expand_csr_rows is re-exported above for callers
-# that imported it from here.
-
-
-# --------------------------------------------------------------------------- #
 # Lemma 2 — BFS flood
 # --------------------------------------------------------------------------- #
 
@@ -72,7 +50,7 @@ def vectorized_bfs(
     """
     if not (0 <= root < graph.n):
         raise ValidationError(f"root {root} out of range")
-    indptr, indices = _channel_adjacency(graph, edge_mask)
+    indptr, indices = graph.masked_csr(edge_mask)
     parent, dist = frontier_sweep(graph.n, indptr, indices, root)
     depth = int(dist.max())
     rounds = depth + 1 if indptr[root + 1] > indptr[root] else 0
@@ -88,103 +66,23 @@ def vectorized_bfs(
 def vectorized_parallel_bfs(
     graph: Graph,
     edge_masks: list[np.ndarray],
-    roots: list[int] | None = None,
+    roots: list[int],
 ) -> tuple[list[BFSResult], int]:
     """Fast-path :func:`repro.primitives.bfs.run_parallel_bfs`.
 
-    All channels share one clock, so the joint execution costs the *max*
+    The caller has validated the masks (pairwise disjoint) and roots (one
+    per channel). All channels run in one
+    :func:`~repro.engine.plane.masked_union_bfs` sweep over their disjoint
+    union, and share one clock, so the joint execution costs the *max*
     channel depth + 1 — the Section 3.1 claim that edge-disjoint floods run
     concurrently for free.
     """
-    masks = [np.asarray(m, dtype=bool) for m in edge_masks]
-    if masks:
-        stack = np.stack(masks)
-        if stack.sum(axis=0).max() > 1:
-            raise ValidationError("edge masks must be pairwise disjoint")
-    if roots is None:
-        roots = [0] * len(masks)
-    if len(roots) != len(masks):
-        raise ValidationError("need one root per channel")
-    for root in roots:
-        if not (0 <= root < graph.n):
-            raise ValidationError(f"root {root} out of range")
-    if len(masks) >= 2 and graph.m:
-        return _batched_parallel_bfs(graph, masks, roots)
+    from repro.engine.plane import masked_union_bfs
 
-    results: list[BFSResult] = []
-    rounds = 0
-    for mask, root in zip(masks, roots):
-        indptr, indices = _channel_adjacency(graph, mask)
-        parent, dist = frontier_sweep(graph.n, indptr, indices, root)
-        if indptr[root + 1] > indptr[root]:
-            rounds = max(rounds, int(dist.max()) + 1)
-        results.append(
-            BFSResult(
-                root=root,
-                parent=parent,
-                dist=dist,
-                children=None,  # derived lazily from parent — identical lists
-                rounds=0,  # patched below: the joint clock is shared
-            )
-        )
-    for r in results:
-        r.rounds = rounds
-    return results, rounds
-
-
-def _batched_parallel_bfs(
-    graph: Graph, masks: list[np.ndarray], roots: list[int]
-) -> tuple[list[BFSResult], int]:
-    """All channels in **one** frontier sweep over their disjoint union.
-
-    Channel ``c``'s subgraph is laid out on nodes ``[c·n, (c+1)·n)``;
-    edge-disjointness means the components never touch, so a multi-root
-    :func:`frontier_sweep` advances every channel on the shared clock the
-    simulator already uses — one layer loop and one parents pass in total
-    instead of one *per channel*, and no per-channel ``masked_csr``
-    builds. Per-channel slices of the result are bit-identical to solo
-    sweeps (components are independent, and within a component the parent
-    offsets cancel).
-    """
-    n = graph.n
-    C = len(masks)
-    big_n = C * n
-    subs = graph.disjoint_masked_csrs(masks)
-    # Shift each channel's neighbor ids into its node block, writing
-    # straight into the union array (no per-channel temporaries — at
-    # n = 10⁶ those were hundreds of MB of throwaway allocations).
-    big_indices = np.empty(sum(ind.size for _ip, ind in subs), dtype=np.int64)
-    lo = 0
-    for c, (_ip, ind) in enumerate(subs):
-        np.add(ind, c * n, out=big_indices[lo : lo + ind.size])
-        lo += ind.size
-    big_indptr = np.zeros(big_n + 1, dtype=np.int64)
-    np.cumsum(
-        np.concatenate([np.diff(ip) for ip, _ind in subs]), out=big_indptr[1:]
+    results = masked_union_bfs(
+        graph, edge_masks, roots, group_sizes=[len(edge_masks)]
     )
-    roots_arr = (
-        np.arange(C, dtype=np.int64) * n + np.asarray(roots, dtype=np.int64)
-    )
-    parent_big, dist_big = frontier_sweep(big_n, big_indptr, big_indices, roots_arr)
-
-    results: list[BFSResult] = []
-    rounds = 0
-    for c, root in enumerate(roots):
-        off = c * n
-        pb = parent_big[off : off + n]
-        parent = np.where(pb >= 0, pb - off, pb)
-        dist = dist_big[off : off + n]
-        if big_indptr[off + root + 1] > big_indptr[off + root]:
-            rounds = max(rounds, int(dist.max()) + 1)
-        results.append(
-            BFSResult(
-                root=root,
-                parent=parent,
-                dist=dist,
-                children=None,  # derived lazily from parent — identical lists
-                rounds=0,  # patched below: the joint clock is shared
-            )
-        )
+    rounds = max((r.rounds for r in results), default=0)
     for r in results:
         r.rounds = rounds
     return results, rounds

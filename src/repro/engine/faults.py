@@ -40,7 +40,7 @@ import numpy as np
 
 from repro import obs
 from repro.congest.adversary import FaultPlan
-from repro.engine.kernels import expand_csr_rows, frontier_sweep
+from repro.engine.kernels import expand_csr_rows
 from repro.graphs.graph import Graph
 from repro.primitives.bfs import BFSResult
 from repro.util.errors import ValidationError
@@ -107,15 +107,7 @@ class FaultStream:
 
 def _popcount_rows(bits: np.ndarray) -> np.ndarray:
     """Per-row set-bit counts of a packed uint8 matrix."""
-    if hasattr(np, "bitwise_count"):
-        return np.bitwise_count(bits).sum(axis=1, dtype=np.int64)
-    out = np.zeros(bits.shape[0], dtype=np.int64)  # pragma: no cover - numpy<2
-    for lo in range(0, bits.shape[0], 4096):
-        chunk = bits[lo : lo + 4096]
-        out[lo : lo + chunk.shape[0]] = np.unpackbits(chunk, axis=1).sum(
-            axis=1, dtype=np.int64
-        )
-    return out
+    return np.bitwise_count(bits).sum(axis=1, dtype=np.int64)
 
 
 # --------------------------------------------------------------------------- #
@@ -135,56 +127,44 @@ _KIND_CHILD = 0  # canonical per-node send order: CHILD notice first,
 _KIND_ANNOUNCE = 1  # then layer announces on the remaining ports ascending
 
 
-def _span_faulty_bfs(
+def _dead_edge_bfs(
     graph: Graph,
-    root: int,
-    stream: FaultStream,
+    roots: np.ndarray,
+    dead: np.ndarray,
     edge_mask: np.ndarray | None,
     indptr: np.ndarray,
     indices: np.ndarray,
-) -> FaultyBFSOutcome:
-    """Closed-form faulty BFS when the only faults are dead edges.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Closed-form faulty BFS of every root when the only faults are dead
+    edges: ``(parent, dist, rounds, dropped)``, one row or entry per root.
 
     With no coin drops and no mobile set, the adversary is a static edge
     deletion: adoption is plain BFS on the masked graph *minus* the dead
-    edges (one :func:`frontier_sweep`, no per-round loop), every surviving
-    child-notice arrives (the notice rides the adoption edge, which is by
-    definition alive), and the drop count is exactly one crossing per
-    (dead masked edge, adopted endpoint) pair — an adopted node sends on
-    *every* masked port exactly once.
+    edges (one :func:`~repro.engine.plane.plane_sweep`, no per-round
+    loop), every surviving child-notice arrives (the notice rides the
+    adoption edge, which is by definition alive), and the drop count is
+    exactly one crossing per (dead masked edge, adopted endpoint) pair —
+    an adopted node sends on *every* masked port exactly once.
+    ``(indptr, indices)`` is the masked graph's CSR: the clock runs off the
+    *masked* graph, so the root's round-1 batch exists as soon as it has
+    any usable port, dead or not.
     """
-    n = graph.n
-    if stream.dead.any():
-        base = (
-            np.asarray(edge_mask, dtype=bool)
-            if edge_mask is not None
-            else np.ones(graph.m, dtype=bool)
-        )
-        pindptr, pindices = graph.masked_csr(base & ~stream.dead)
+    from repro.engine.plane import plane_sweep
+
+    de = np.flatnonzero(dead if edge_mask is None else dead & edge_mask)
+    if dead.any():
+        live = ~dead if edge_mask is None else edge_mask & ~dead
+        pindptr, pindices = graph.masked_csr(live)
     else:
         pindptr, pindices = indptr, indices
-    parent, dist = frontier_sweep(n, pindptr, pindices, root)
-    # The clock runs off the *masked* graph: the root's round-1 batch exists
-    # as soon as it has any usable port, dead or not.
-    rounds = int(dist.max()) + 1 if indptr[root + 1] > indptr[root] else 0
-    dropped = 0
-    if stream.dead.any():
-        de = np.nonzero(stream.dead)[0]
-        if edge_mask is not None:
-            de = de[np.asarray(edge_mask, dtype=bool)[de]]
-        dropped = int(
-            (dist[graph.edge_u[de]] >= 0).sum() + (dist[graph.edge_v[de]] >= 0).sum()
-        )
-    result = BFSResult(
-        root=root,
-        parent=parent,
-        dist=dist,
-        children=None,  # rate-0 plans drop no child-notices: parent-derived
-        rounds=rounds,
+    parent, dist, _ = plane_sweep(graph.n, pindptr, pindices, roots)
+    rounds = np.where(
+        indptr[roots + 1] > indptr[roots], dist.max(axis=1, initial=0) + 1, 0
     )
-    return FaultyBFSOutcome(
-        result=result, dropped=dropped, fault_rng_state=stream.rng_state
-    )
+    dropped = (dist[:, graph.edge_u[de]] >= 0).sum(axis=1) + (
+        dist[:, graph.edge_v[de]] >= 0
+    ).sum(axis=1)
+    return parent, dist, rounds, dropped
 
 
 def _span_faulty_bfs_total_loss(
@@ -259,13 +239,25 @@ def vectorized_faulty_bfs(
         raise ValidationError(f"root {root} out of range")
     plan = plan if plan is not None else FaultPlan()
     stream = FaultStream(graph, plan, fault_seed)
-    indptr, indices = graph.masked_csr(
-        None if edge_mask is None else np.asarray(edge_mask, dtype=bool)
-    )
+    base = None if edge_mask is None else np.asarray(edge_mask, dtype=bool)
+    indptr, indices = graph.masked_csr(base)
     if not stream.mobile:
         if stream.rate == 0.0:
-            return _span_faulty_bfs(
-                graph, root, stream, edge_mask, indptr, indices
+            parent, dist, rounds, dropped = _dead_edge_bfs(
+                graph, np.array([root], dtype=np.int64), stream.dead, base,
+                indptr, indices,
+            )
+            result = BFSResult(
+                root=root,
+                parent=parent[0],
+                dist=dist[0],
+                children=None,  # rate-0 plans drop no child-notices
+                rounds=int(rounds[0]),
+            )
+            return FaultyBFSOutcome(
+                result=result,
+                dropped=int(dropped[0]),
+                fault_rng_state=stream.rng_state,
             )
         if stream.rate == 1.0 and not stream.dead.any():
             return _span_faulty_bfs_total_loss(graph, root, stream, indptr)
@@ -447,12 +439,13 @@ def faulty_bfs_grid(
     Element ``i`` is bit-identical to
     ``faulty_bfs(graph, roots[i], plan, fault_seeds[i], ...)`` — same
     forest, rounds, drop count, and fault RNG state. When the plan draws
-    no coins and has no mobile set (the static dead-edge regime the span
-    path already collapses per query), the whole grid reduces to one
-    :func:`repro.engine.plane.plane_sweep` over the distinct roots on the
-    dead-subtracted CSR: the coin RNG is untouched, so outcomes across
-    fault seeds differ only in their (pristine) recorded RNG state, and
-    queries sharing a root share read-only forest rows. Every other plan —
+    no coins and has no mobile set (the static dead-edge regime), the
+    whole grid reduces to one :func:`_dead_edge_bfs` — the closed form the
+    solo call also takes, one :func:`repro.engine.plane.plane_sweep` over
+    the distinct roots on the dead-subtracted CSR: the coin RNG is
+    untouched, so outcomes across fault seeds differ only in their
+    (pristine) recorded RNG state, and queries sharing a root share
+    read-only forest rows. Every other plan —
     positive rates, mobile schedules, the simulator backend — falls back
     to the per-query loop, which is the contract's definition anyway.
 
@@ -482,39 +475,16 @@ def faulty_bfs_grid(
             for r, s in zip(root_list, seeds)
         ]
 
-    from repro.engine.plane import plane_sweep
-
-    plan.validate_for(graph.m)
+    dead = FaultStream(graph, plan).dead  # validates the plan for graph
     for r in root_list:
         if not (0 <= r < graph.n):
             raise ValidationError(f"root {r} out of range")
     base = None if edge_mask is None else np.asarray(edge_mask, dtype=bool)
     indptr, indices = graph.masked_csr(base)
-    n = graph.n
-    de = np.empty(0, dtype=np.int64)
-    if plan.dead_edges:
-        dead = np.zeros(graph.m, dtype=bool)
-        dead[
-            np.fromiter(plan.dead_edges, dtype=np.int64, count=len(plan.dead_edges))
-        ] = True
-        full = np.ones(graph.m, dtype=bool) if base is None else base
-        pindptr, pindices = graph.masked_csr(full & ~dead)
-        de = np.nonzero(dead)[0]
-        if base is not None:
-            de = de[base[de]]
-    else:
-        pindptr, pindices = indptr, indices
     uniq, inverse = np.unique(np.asarray(root_list, dtype=np.int64), return_inverse=True)
-    parent, dist, _ = plane_sweep(n, pindptr, pindices, uniq)
-    # The clock runs off the *masked* graph, exactly like _span_faulty_bfs:
-    # the root's round-1 batch exists as soon as any usable port does.
-    rounds_u = np.where(indptr[uniq + 1] > indptr[uniq], dist.max(axis=1) + 1, 0)
-    if de.size:
-        dropped_u = (dist[:, graph.edge_u[de]] >= 0).sum(axis=1) + (
-            dist[:, graph.edge_v[de]] >= 0
-        ).sum(axis=1)
-    else:
-        dropped_u = np.zeros(uniq.size, dtype=np.int64)
+    parent, dist, rounds_u, dropped_u = _dead_edge_bfs(
+        graph, uniq, dead, base, indptr, indices
+    )
     out: list[FaultyBFSOutcome] = []
     for i, (r, s) in enumerate(zip(root_list, seeds)):
         q = int(inverse[i])

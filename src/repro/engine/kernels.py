@@ -5,13 +5,16 @@ Two primitives collapse the O(rounds) Python loops of
 :mod:`repro.engine.fastpath` and :mod:`repro.engine.faults` into
 O(events) numpy steps:
 
-* **Frontier sweeps as boolean SpMV** — :func:`frontier_sweep` runs one
-  BFS layer loop over the Graph CSR arrays. A wide layer advances as one
-  ``(1 × n) @ (n × n)`` boolean sparse matvec (:mod:`scipy.sparse`, a
-  hard dependency); a narrow layer, or any layer of a small subgraph,
-  advances by a numpy gather. Parents are adopted inline as each layer
-  lands; :func:`tree_parents` is the whole-array reference the verify
-  sweep cross-checks.
+* **Frontier sweeps as boolean SpMV** — one private BFS layer loop runs
+  Q queries over one CSR, node ``v`` of query ``q`` keyed ``q·n + v`` in
+  caller-owned flat ``dist``/``parent`` arrays. :func:`frontier_sweep` is
+  its Q = 1 caller (solo and disjoint-union sweeps) and
+  :func:`repro.engine.plane.plane_sweep` its Q > 1 caller. A wide layer
+  advances as one ``(Q × n) @ (n × n)`` boolean sparse matvec
+  (:mod:`scipy.sparse`, a hard dependency); a narrow layer, or any layer
+  of a small subgraph, advances by a numpy gather. Parents are adopted
+  inline as each layer lands; :func:`tree_parents` is the whole-array
+  reference the verify sweep cross-checks.
 
 * **Event-batched span stepping** — between queue-drain events the
   pipelined-broadcast recurrence is closed-form, so
@@ -147,85 +150,6 @@ _SPMV_MIN_ARCS = 2048
 _SPMV_LAYER_ARCS = 32768
 
 
-def _spmv_layer(
-    sp,
-    adj,
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    dist: np.ndarray,
-    parent: np.ndarray,
-    frontier: np.ndarray,
-    d: int,
-) -> np.ndarray:
-    """One boolean-matvec layer step: returns the sorted fresh layer and
-    adopts its parents in place.
-
-    The matvec only yields the candidate set, whose ``indices`` scipy does
-    not promise to sort; the fresh layer is sorted here because the next
-    gather step's first-occurrence rule needs a sorted frontier. Parents
-    come from scanning each fresh node's own CSR row for its first
-    (= smallest-id) neighbor at depth ``d``. ``sp`` is the
-    :mod:`scipy.sparse` module that :func:`frontier_sweep` loaded.
-    """
-    n = dist.size
-    x = sp.csr_matrix(
-        (
-            np.ones(frontier.size, dtype=bool),
-            (np.zeros(frontier.size, dtype=np.int64), frontier),
-        ),
-        shape=(1, n),
-    )
-    cand = (x @ adj).indices.astype(np.int64, copy=False)
-    fresh = np.sort(cand[dist[cand] < 0])
-    if not fresh.size:
-        return fresh
-    fsel, fcounts, _offs = expand_csr_rows(indptr, fresh)
-    nb = indices[fsel]
-    good = np.flatnonzero(dist[nb] == d)  # fresh rows still hold -1
-    rows = np.repeat(np.arange(fresh.size, dtype=np.int64), fcounts)[good]
-    first = np.empty(good.size, dtype=bool)
-    first[0] = True
-    np.not_equal(rows[1:], rows[:-1], out=first[1:])
-    parent[fresh[rows[first]]] = nb[good[first]]
-    return fresh
-
-
-def _advance_layer(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    dist: np.ndarray,
-    parent: np.ndarray,
-    frontier: np.ndarray,
-) -> np.ndarray:
-    """One gather layer step: returns the sorted fresh layer and adopts
-    its parents in place.
-
-    Filtering visited candidates *before* the sort discards most of a
-    layered graph's candidates ahead of the O(c log c) work. The stable
-    argsort keeps arc order within ties, and arcs enumerate the (sorted)
-    frontier in order — so the first occurrence of each fresh node pairs
-    it with its **smallest** previous-layer neighbor, exactly the
-    :func:`tree_parents` adoption rule, with no whole-graph pass.
-    """
-    sel, counts, _offs = expand_csr_rows(indptr, frontier)
-    if sel.size == 0:
-        return np.empty(0, dtype=np.int64)
-    cand = indices[sel]
-    unv = dist[cand] < 0
-    cand = cand[unv]
-    if cand.size == 0:
-        return cand
-    src = np.repeat(frontier, counts)[unv]
-    order = np.argsort(cand, kind="stable")
-    cand = cand[order]
-    first = np.empty(cand.size, dtype=bool)
-    first[0] = True
-    np.not_equal(cand[1:], cand[:-1], out=first[1:])
-    fresh = cand[first]
-    parent[fresh] = src[order[first]]
-    return fresh
-
-
 def tree_parents(
     n: int,
     indptr: np.ndarray,
@@ -247,7 +171,7 @@ def tree_parents(
 
     ``root`` may be a single node or an array of roots — one per
     connected component, as in the disjoint-union sweep of
-    ``vectorized_parallel_bfs``.
+    :func:`~repro.engine.plane.masked_union_bfs`.
     """
     deg = np.diff(indptr)
     rows_all = np.repeat(np.arange(n, dtype=np.int64), deg)
@@ -264,41 +188,50 @@ def tree_parents(
     return parent
 
 
-def frontier_sweep(
-    n: int, indptr: np.ndarray, indices: np.ndarray, root: int | np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """BFS ``(parent, dist)`` over a CSR subgraph, SpMV-accelerated.
+def _sweep(
+    n: int,
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    frontier: np.ndarray,
+    dist: np.ndarray,
+    parent: np.ndarray,
+) -> None:
+    """The engine's one BFS layer loop: ``Q = dist.size // n`` queries
+    over one CSR, advanced on a shared layer clock.
 
-    One layer loop: a layer advances by boolean sparse matvec when the
-    subgraph clears :data:`_SPMV_MIN_ARCS` and the layer's frontier has at
+    Node ``v`` of query ``q`` has the flat key ``q·n + v``; ``dist`` and
+    ``parent`` are flat ``Q·n`` arrays the caller owns, and ``frontier``
+    holds the sorted flat keys of the depth-0 nodes, whose ``dist`` the
+    caller has already set to 0. Each layer writes ``dist`` in place and
+    stores in ``parent`` the adopted neighbour's node id within the CSR
+    (``v``, not a flat key).
+
+    A layer advances by one ``(Q × n) @ (n × n)`` boolean sparse matvec
+    when the CSR clears :data:`_SPMV_MIN_ARCS` arcs and the frontier has at
     least :data:`_SPMV_LAYER_ARCS` out-arcs, and by a numpy gather
-    otherwise. Both steps yield the same sorted layer and the same
-    parents, so the gates only move the wall clock.
+    otherwise. Both steps yield the same sorted layer and the same parents,
+    so the gates only move the wall clock:
 
-    ``root`` may be a single node or a sorted array of roots lying in
-    pairwise-disconnected components (the disjoint-union batching of
-    ``vectorized_parallel_bfs``): each component's sweep proceeds exactly
-    as a solo sweep from its root would, on one shared layer clock.
-
-    Parents are adopted inline as each layer lands (the candidate gather
-    the dedup already pays carries the source of every arc), avoiding
-    :func:`tree_parents`'s whole-graph ``dist`` gather — that function
-    stays as the reference the verify sweep cross-checks against.
+    * the gather filters visited candidates *before* its O(c log c) stable
+      argsort; arcs enumerate the sorted frontier in order, so the first
+      occurrence of each fresh key pairs it with its **smallest**
+      previous-layer neighbour — the :func:`tree_parents` rule;
+    * the matvec only yields the candidate set, whose ``indices`` scipy
+      does not promise to sort, so the fresh layer is sorted here (the
+      next gather's first-occurrence rule needs a sorted frontier), and
+      each fresh node scans its own CSR row for its first neighbour at
+      the current depth.
     """
-    roots = np.atleast_1d(np.asarray(root, dtype=np.int64))
-    dist = np.full(n, -1, dtype=np.int64)
-    parent = np.full(n, -1, dtype=np.int64)
-    dist[roots] = 0
+    multi = dist.size > n
     spmv_ok = indices.size >= _SPMV_MIN_ARCS
     adj = None
-    frontier = roots
     d = 0
     while frontier.size:
         obs.count("kernels.frontier_nodes", frontier.size)
         obs.count("kernels.frontier_peak", frontier.size, "max")
-        if spmv_ok and int(
-            (indptr[frontier + 1] - indptr[frontier]).sum()
-        ) >= _SPMV_LAYER_ARCS:
+        q, v = np.divmod(frontier, n) if multi else (None, frontier)
+        counts = indptr[v + 1] - indptr[v]
+        if spmv_ok and int(counts.sum()) >= _SPMV_LAYER_ARCS:
             obs.count("kernels.spmv_layers")
             if adj is None:  # built lazily on the first wide layer
                 # scipy loads here, not at module import, so callers that
@@ -309,16 +242,78 @@ def frontier_sweep(
                     (np.ones(indices.size, dtype=bool), indices, indptr),
                     shape=(n, n),
                 )
-            frontier = _spmv_layer(
-                sp, adj, indptr, indices, dist, parent, frontier, d
+            x = sp.csr_matrix(
+                (np.ones(v.size, dtype=bool), (np.zeros_like(v) if q is None else q, v)),
+                shape=(dist.size // n, n),
             )
+            y = x @ adj
+            cand = y.indices.astype(np.int64, copy=False)
+            if multi:
+                cand = cand + np.repeat(
+                    np.arange(0, dist.size, n, dtype=np.int64), np.diff(y.indptr)
+                )
+            fresh = np.sort(cand[dist[cand] < 0])
+            if not fresh.size:
+                break
+            fq, fv = np.divmod(fresh, n) if multi else (None, fresh)
+            fsel, fcounts, _offs = expand_csr_rows(indptr, fv)
+            nb = indices[fsel]
+            rows = np.repeat(np.arange(fresh.size, dtype=np.int64), fcounts)
+            keys = nb if fq is None else nb + fq[rows] * n
+            good = np.flatnonzero(dist[keys] == d)  # fresh keys still hold -1
+            rows = rows[good]
+            first = np.empty(good.size, dtype=bool)
+            first[0] = True
+            np.not_equal(rows[1:], rows[:-1], out=first[1:])
+            parent[fresh[rows[first]]] = nb[good[first]]
         else:
             obs.count("kernels.gather_layers")
-            frontier = _advance_layer(indptr, indices, dist, parent, frontier)
-        if not frontier.size:
-            break
+            sel, counts, _offs = expand_csr_rows(indptr, v)
+            cand = indices[sel]
+            if multi:
+                cand = cand + np.repeat(frontier - v, counts)
+            unv = dist[cand] < 0
+            cand = cand[unv]
+            if not cand.size:
+                break
+            src = np.repeat(v, counts)[unv]
+            order = np.argsort(cand, kind="stable")
+            cand = cand[order]
+            first = np.empty(cand.size, dtype=bool)
+            first[0] = True
+            np.not_equal(cand[1:], cand[:-1], out=first[1:])
+            fresh = cand[first]
+            parent[fresh] = src[order[first]]
         d += 1
-        dist[frontier] = d
+        dist[fresh] = d
+        frontier = fresh
+
+
+def frontier_sweep(
+    n: int, indptr: np.ndarray, indices: np.ndarray, root: int | np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """BFS ``(parent, dist)`` over a CSR subgraph, SpMV-accelerated.
+
+    The single-query (Q = 1) caller of the engine's one layer loop; wide
+    layers advance by boolean sparse matvec, narrow ones by numpy gather,
+    with identical layers and parents either way.
+
+    ``root`` may be a single node or a sorted array of roots lying in
+    pairwise-disconnected components (the disjoint-union batching of
+    :func:`~repro.engine.plane.masked_union_bfs`): each component's sweep
+    proceeds exactly as a solo sweep from its root would, on one shared
+    layer clock.
+
+    Parents are adopted inline as each layer lands (the candidate gather
+    the dedup already pays carries the source of every arc), avoiding
+    :func:`tree_parents`'s whole-graph ``dist`` gather — that function
+    stays as the reference the verify sweep cross-checks against.
+    """
+    roots = np.atleast_1d(np.asarray(root, dtype=np.int64))
+    dist = np.full(n, -1, dtype=np.int64)
+    parent = np.full(n, -1, dtype=np.int64)
+    dist[roots] = 0
+    _sweep(n, indptr, indices, roots, dist, parent)
     parent[roots] = roots
     return parent, dist
 

@@ -1020,12 +1020,7 @@ def check_step_strategies(graph: Graph, masks, k: int, seed, roots=None) -> list
 
     # -- upcast_spans expanded per round == upcast_rounds, on the channel-
     #    flattened trees and queues the Lemma 1 pipeline feeds them ------ #
-    if graph.m:
-        results, _ = run_parallel_bfs(graph, masks, roots=roots, backend="vectorized")
-    else:  # edgeless host: run_parallel_bfs needs arcs to stack masks over
-        from repro.primitives.bfs import run_bfs
-
-        results = [run_bfs(graph, 0, backend="vectorized")]
+    results, _ = run_parallel_bfs(graph, masks, roots=roots, backend="vectorized")
     trees = [r for r in results if r.spans()]
     if trees:
         C = len(trees)
@@ -1166,10 +1161,10 @@ def check_faulty_step_strategies(
 def check_bfs_batch(graph: Graph, roots, edge_mask=None) -> list[str]:
     """run_bfs_batch == loop of run_bfs, element-wise, on both backends.
 
-    The vectorized batch rides the :class:`~repro.engine.plane.QueryPlane`
-    sweep; it also runs under every :func:`gate_settings` mix of SpMV and
-    gather layers, so each layer step of the plane is certified against
-    the simulator.
+    The vectorized batch rides one :func:`~repro.engine.plane.plane_sweep`;
+    it also runs under every :func:`gate_settings` mix of SpMV and gather
+    layers, so each layer step of the plane is certified against the
+    simulator.
     """
     from repro.primitives.bfs import run_bfs, run_bfs_batch
 

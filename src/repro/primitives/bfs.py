@@ -285,9 +285,9 @@ def run_bfs_batch(
     Element ``i`` of the returned list is bit-identical to
     ``run_bfs(graph, roots[i], edge_mask=edge_mask, backend=backend)``
     (parents, dists, children, rounds). Under ``backend="vectorized"``
-    all queries share one :func:`~repro.engine.plane.plane_sweep` — a
-    single layer loop over a bit-packed (queries × nodes) plane — so the
-    per-call dispatch cost is paid once per batch instead of once per
+    all queries share one :func:`~repro.engine.plane.plane_sweep` — the
+    engine's single BFS layer loop over flat (queries × nodes) planes — so
+    the per-call dispatch cost is paid once per batch instead of once per
     root; the simulator backend runs the reference loop of solo calls.
     Duplicate roots are answered by shared (read-only) result rows.
     """
@@ -338,19 +338,18 @@ def run_parallel_bfs(
     """
     from repro.engine import validate_backend
 
-    if validate_backend(backend) == "vectorized":
-        from repro.engine.fastpath import vectorized_parallel_bfs
-
-        return vectorized_parallel_bfs(graph, edge_masks, roots=roots)
+    vectorized = validate_backend(backend) == "vectorized"
     masks = [np.asarray(m, dtype=bool) for m in edge_masks]
-    if masks:
-        stack = np.stack(masks)
-        if stack.sum(axis=0).max() > 1:
-            raise ValidationError("edge masks must be pairwise disjoint")
+    if masks and np.stack(masks).sum(axis=0).max(initial=0) > 1:
+        raise ValidationError("edge masks must be pairwise disjoint")
     if roots is None:
         roots = [0] * len(masks)
     if len(roots) != len(masks):
         raise ValidationError("need one root per channel")
+    if vectorized:
+        from repro.engine.fastpath import vectorized_parallel_bfs
+
+        return vectorized_parallel_bfs(graph, masks, roots)
 
     network = Network(graph)
     channel_roots = {c: roots[c] for c in range(len(masks))}

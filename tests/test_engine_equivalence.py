@@ -333,6 +333,19 @@ class TestAwkwardInputs:
         out = vectorized_tree_broadcast(g, {0: tree}, {0: {0: [1, 2, 3]}})
         assert out.rounds == 2 and out.k_total == 3
 
+    def test_single_node_parallel_bfs_and_fast_broadcast(self):
+        """m = 0: the channel-disjointness check must not reduce an empty
+        array, and both backends print the same 2-round ledger."""
+        g = Graph(1, [])
+        empty = np.zeros(0, dtype=bool)
+        assert check_parallel_bfs(g, [empty, empty.copy()]) == []
+        ledgers = {}
+        for backend in BACKENDS:
+            res = fast_broadcast(g, {0: 3}, lam=2, backend=backend)
+            ledgers[backend] = (res.rounds, res.phases, res.delivered)
+        assert ledgers["simulator"] == ledgers["vectorized"]
+        assert ledgers["vectorized"][0] == 2
+
     def test_all_masked_edge_set(self):
         g = thick_cycle(5, 3)
         empty = np.zeros(g.m, dtype=bool)

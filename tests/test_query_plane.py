@@ -1,12 +1,12 @@
 """Property tests for the multi-query frontier plane (ISSUE 9).
 
-:class:`~repro.engine.plane.QueryPlane` packs many (root, seed,
-channel-set) BFS queries into one bit-packed (queries × nodes) plane and
-answers them in one shared layer loop. These tests pin the bit-identity
-contract on the edges the randomized verify sweep is least likely to hit:
-batch size 1, duplicate queries, single-node graphs, forced SpMV layers,
-chunked planes, and the all-queries-dead-on-round-0 boundary under
-``drop_rate=1.0``.
+:func:`~repro.engine.plane.plane_sweep` answers many (root, channel-set)
+BFS queries over one CSR in the engine's single layer loop, each query's
+node ``v`` keyed ``q·n + v`` in flat ``(Q, n)`` output planes. These
+tests pin the bit-identity contract on the edges the randomized verify
+sweep is least likely to hit: batch size 1, duplicate queries,
+single-node graphs, forced SpMV layers, chunked planes, and the
+all-queries-dead-on-round-0 boundary under ``drop_rate=1.0``.
 """
 
 import numpy as np
@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 from repro.congest.adversary import FaultPlan
 from repro.engine import kernels
 from repro.engine.faults import faulty_bfs_grid
-from repro.engine.plane import QueryPlane, masked_union_bfs, plane_sweep
+from repro.engine import plane
+from repro.engine.plane import masked_union_bfs, plane_sweep
 from repro.engine.verify import (
     check_bfs_batch,
     check_broadcast_batch,
@@ -105,12 +106,13 @@ class TestPlaneVsSolo:
             assert np.array_equal(res.dist, solo.dist)
             assert res.rounds == solo.rounds
 
-    def test_chunked_plane_equals_resident_plane(self):
+    def test_chunked_plane_equals_resident_plane(self, monkeypatch):
         g = thick_cycle(6, 3)
         indptr, indices = g.masked_csr(None)
         roots = list(range(g.n)) * 2
         full = plane_sweep(g.n, indptr, indices, roots)
-        tiny = plane_sweep(g.n, indptr, indices, roots, max_cells=2 * g.n)
+        monkeypatch.setattr(plane, "_PLANE_MAX_CELLS", 2 * g.n)
+        tiny = plane_sweep(g.n, indptr, indices, roots)
         for a, b in zip(full, tiny):
             assert np.array_equal(a, b)
 
@@ -165,23 +167,9 @@ class TestPlaneEdges:
         g = thick_cycle(3, 3)
         indptr, indices = g.masked_csr(None)
         with pytest.raises(ValidationError):
-            QueryPlane(g.n, indptr, indices, [0, g.n])
+            plane_sweep(g.n, indptr, indices, [0, g.n])
         with pytest.raises(ValidationError):
             run_bfs_batch(g, [0, -1], backend="vectorized")
-
-    def test_seed_discipline(self):
-        g = thick_cycle(3, 3)
-        indptr, indices = g.masked_csr(None)
-        plane = QueryPlane(g.n, indptr, indices, [0, 1], seeds=[3, 9])
-        streams = plane.rng_streams()
-        assert [s.integers(1 << 30) for s in streams] == [
-            rng_from_seed(3).integers(1 << 30),
-            rng_from_seed(9).integers(1 << 30),
-        ]
-        with pytest.raises(ValidationError):
-            QueryPlane(g.n, indptr, indices, [0, 1], seeds=[3])
-        with pytest.raises(ValidationError):
-            QueryPlane(g.n, indptr, indices, [0, 1]).rng_streams()
 
     @_SETTINGS
     @given(

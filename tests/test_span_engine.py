@@ -28,7 +28,7 @@ from repro.engine.verify import (
     spmv_gates,
 )
 from repro.graphs import Graph, thick_cycle
-from repro.primitives.bfs import run_bfs
+from repro.primitives.bfs import run_bfs, run_bfs_batch
 
 _SETTINGS = settings(
     max_examples=15,
@@ -149,10 +149,25 @@ class TestScipyFallback:
 
     @pytest.mark.slow
     def test_thick_cycle_n10k_matches_simulator(self):
-        """n = 10⁴, where default gates first mix SpMV and gather layers."""
+        """n = 10⁴, where default gates first mix SpMV and gather layers.
+
+        A two-query plane on the same host covers multi-query SpMV layers:
+        its row 0 must equal the simulator run, its row ``r`` the solo
+        vectorized run and the smallest-neighbour parent rule."""
         g = thick_cycle(125, 80)
         sim = run_bfs(g, 0, backend="simulator")
         vec = run_bfs(g, 0, backend="vectorized")
         assert np.array_equal(sim.dist, vec.dist)
         assert np.array_equal(sim.parent, vec.parent)
         assert sim.rounds == vec.rounds
+        r = g.n // 2
+        row0, row_r = run_bfs_batch(g, [0, r], backend="vectorized")
+        assert np.array_equal(row0.dist, sim.dist)
+        assert np.array_equal(row0.parent, sim.parent)
+        assert row0.rounds == sim.rounds
+        solo = run_bfs(g, r, backend="vectorized")
+        assert np.array_equal(row_r.dist, solo.dist)
+        assert np.array_equal(row_r.parent, solo.parent)
+        assert row_r.rounds == solo.rounds
+        ref = kernels.tree_parents(g.n, g._indptr, g._indices, row_r.dist, r)
+        assert np.array_equal(row_r.parent, ref)
