@@ -22,6 +22,7 @@ numpy engine (:mod:`repro.engine.faults`) — bit-identical
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
@@ -57,6 +58,44 @@ def tree_edge_ids(packing: TreePacking, index: int) -> set[int]:
     return {
         packing.graph.edge_id(u, v) for u, v in tree.edges()
     }
+
+
+def _fault_plan(
+    graph: Graph,
+    packing: TreePacking,
+    dead_edges: Iterable[int] | None,
+    drop_rate: float,
+    mobile: Mapping[int, Iterable[int]] | None,
+    adversary: AdversarySchedule | None,
+) -> FaultPlan:
+    """The explicit fault triple, merged with the compiled adversary."""
+    plan = FaultPlan(
+        dead_edges=frozenset(int(e) for e in (dead_edges or ())),
+        drop_rate=float(drop_rate),
+        mobile=dict(mobile or {}),
+    )
+    if adversary is not None:
+        plan = plan.merged(adversary.compile(graph, packing=packing))
+    return plan
+
+
+def _home_tree(j: int, k: int, parts: int) -> int:
+    """The Theorem 1 home tree of message id ``j`` (ids ``1..k``)."""
+    return min((j - 1) // max(1, math.ceil(k / parts)), parts - 1)
+
+
+def _split(
+    ids: dict[int, list[int]], k: int, parts: int, redundancy: int
+) -> dict[int, dict[int, list[int]]]:
+    """Per-tree placements: each id rides its home tree and the next
+    ``redundancy - 1`` trees (mod ``parts``) — distinct edge-disjoint trees."""
+    per_channel: dict[int, dict[int, list[int]]] = {c: {} for c in range(parts)}
+    for v, mids in ids.items():
+        for j in mids:
+            home = _home_tree(j, k, parts)
+            for i in range(redundancy):
+                per_channel[(home + i) % parts].setdefault(v, []).append(j)
+    return per_channel
 
 
 class _TrackingProgram(NodeProgram):
@@ -188,9 +227,10 @@ def redundant_broadcast(
     ``fault_seed`` drives only the drop-rate coins (defaults to ``seed``;
     varying it alone never changes which messages exist, only which
     deliveries fail). ``backend="vectorized"`` runs the whole experiment on
-    the fault-aware numpy engine (:mod:`repro.engine.faults`) and returns a
-    bit-identical report — same receipts, drops, rounds, and fault RNG
-    stream — at orders of magnitude larger n.
+    the fault-aware numpy engine (:mod:`repro.engine.faults`), as a
+    one-cell :func:`evaluate_fault_grid`, and returns a bit-identical
+    report — same receipts, drops, rounds, and fault RNG stream — at
+    orders of magnitude larger n.
     """
     from repro.engine import validate_backend
 
@@ -198,59 +238,28 @@ def redundant_broadcast(
     parts = packing.size
     if not (1 <= redundancy <= parts):
         raise ValidationError("redundancy must be in [1, #trees]")
-    plan = FaultPlan(
-        dead_edges=frozenset(int(e) for e in (dead_edges or ())),
-        drop_rate=float(drop_rate),
-        mobile=dict(mobile or {}),
-    )
-    if adversary is not None:
-        plan = plan.merged(adversary.compile(graph, packing=packing))
+    if backend == "vectorized":
+        cell = FaultCell(
+            redundancy=redundancy,
+            dead_edges=dead_edges or (),
+            drop_rate=drop_rate,
+            mobile=mobile,
+            adversary=adversary,
+            fault_seed=fault_seed,
+        )
+        return evaluate_fault_grid(
+            graph, placement, packing, [cell], seed=seed, backend=backend,
+            collect_receipts=collect_receipts,
+        )[0]
+    plan = _fault_plan(graph, packing, dead_edges, drop_rate, mobile, adversary)
     if fault_seed is None:
         fault_seed = seed
     k = sum(placement.values())
     leader, _gtree, starts, _phases = _number_messages(graph, placement, backend)
     ids = _placement_ids(placement, starts)
-
-    import math
-
-    K = max(1, math.ceil(k / parts))
-    per_channel: dict[int, dict[int, list[int]]] = {c: {} for c in range(parts)}
-    for v, mids in ids.items():
-        for j in mids:
-            home = min((j - 1) // K, parts - 1)
-            for i in range(redundancy):
-                c = (home + i) % parts
-                per_channel[c].setdefault(v, []).append(j)
-
+    per_channel = _split(ids, k, parts, redundancy)
     trees = {c: _bfs_view(packing, c) for c in range(parts)}
     all_ids = [j for mids in ids.values() for j in mids]
-
-    if backend == "vectorized":
-        from repro.engine.faults import vectorized_faulty_broadcast
-
-        out = vectorized_faulty_broadcast(
-            graph, trees, per_channel, plan=plan, fault_seed=fault_seed
-        )
-        import numpy as np
-
-        rows = np.searchsorted(out.mids, np.asarray(all_ids, dtype=np.int64))
-        coverage = {
-            j: int(out.receipt_counts[r]) / graph.n
-            for j, r in zip(all_ids, rows.tolist())
-        }
-        receipts = out.receipts() if collect_receipts else None
-        return DeliveryReport(
-            k=k,
-            redundancy=redundancy,
-            rounds=out.rounds,
-            dropped_messages=out.dropped,
-            per_message_coverage=coverage,
-            backend=backend,
-            receipts=receipts,
-            fault_rng_state=out.fault_rng_state,
-            total_messages=out.total_messages,
-            total_bits=out.total_bits,
-        )
 
     network = Network(graph)
     programs: list[_TrackingProgram] = []
@@ -365,8 +374,6 @@ def evaluate_fault_grid(
             for c in cells
         ]
 
-    import math
-
     import numpy as np
 
     from repro.engine.faults import vectorized_faulty_broadcast
@@ -377,37 +384,22 @@ def evaluate_fault_grid(
     ids = _placement_ids(placement, starts)
     trees = {c: _bfs_view(packing, c) for c in range(parts)}
     all_ids = [j for mids in ids.values() for j in mids]
-    K = max(1, math.ceil(k / parts))
-
     splits: dict[int, dict[int, dict[int, list[int]]]] = {}
-
-    def split(redundancy: int) -> dict[int, dict[int, list[int]]]:
-        pc = splits.get(redundancy)
-        if pc is None:
-            pc = {c: {} for c in range(parts)}
-            for v, mids in ids.items():
-                for j in mids:
-                    home = min((j - 1) // K, parts - 1)
-                    for i in range(redundancy):
-                        pc[(home + i) % parts].setdefault(v, []).append(j)
-            splits[redundancy] = pc
-        return pc
 
     reports: list[DeliveryReport] = []
     for cell in cells:
         redundancy = int(cell.redundancy)
         if not (1 <= redundancy <= parts):
             raise ValidationError("redundancy must be in [1, #trees]")
-        plan = FaultPlan(
-            dead_edges=frozenset(int(e) for e in (cell.dead_edges or ())),
-            drop_rate=float(cell.drop_rate),
-            mobile=dict(cell.mobile or {}),
+        plan = _fault_plan(
+            graph, packing, cell.dead_edges, cell.drop_rate, cell.mobile,
+            cell.adversary,
         )
-        if cell.adversary is not None:
-            plan = plan.merged(cell.adversary.compile(graph, packing=packing))
         fault_seed = seed if cell.fault_seed is None else cell.fault_seed
+        if redundancy not in splits:
+            splits[redundancy] = _split(ids, k, parts, redundancy)
         out = vectorized_faulty_broadcast(
-            graph, trees, split(redundancy), plan=plan, fault_seed=fault_seed
+            graph, trees, splits[redundancy], plan=plan, fault_seed=fault_seed
         )
         rows = np.searchsorted(out.mids, np.asarray(all_ids, dtype=np.int64))
         coverage = {
@@ -521,13 +513,7 @@ def repair_coverage(
     from repro.primitives.bfs import run_parallel_bfs
 
     parts = packing.size
-    plan = FaultPlan(
-        dead_edges=frozenset(int(e) for e in (dead_edges or ())),
-        drop_rate=float(drop_rate),
-        mobile=dict(mobile or {}),
-    )
-    if adversary is not None:
-        plan = plan.merged(adversary.compile(graph, packing=packing))
+    plan = _fault_plan(graph, packing, dead_edges, drop_rate, mobile, adversary)
 
     def run(pk: TreePacking) -> DeliveryReport:
         return redundant_broadcast(
@@ -556,14 +542,10 @@ def repair_coverage(
         dead_mask[np.fromiter(plan.dead_edges, dtype=np.int64)] = True
 
     # Detect: report-driven suspects ∩ structurally damaged trees.
-    import math
-
-    k = initial.k
-    K = max(1, math.ceil(k / parts))
     suspects: set[int] = set()
     for j, cov in initial.per_message_coverage.items():
         if cov < 1.0:
-            home = min((j - 1) // K, parts - 1)
+            home = _home_tree(j, initial.k, parts)
             suspects.update((home + i) % parts for i in range(redundancy))
     structural = {
         c for c in suspects

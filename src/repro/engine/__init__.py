@@ -61,13 +61,12 @@ experiments (``redundant_broadcast``, E16) run at n = 10⁵.
 Within the vectorized backend, loop-heavy paths advance one numpy step
 per *event* rather than per round (:mod:`repro.engine.kernels`): queue
 evolution between events is closed-form, so the Lemma 1 recurrence and the
-rate-0 and total-loss fault engines batch thousands of rounds into a
-handful of array ops. The input decides, never a caller switch: where the
-fault engine's closed form does not apply (coin rates in (0, 1), mobile
-sets where the closed form needs none, non-BFS layerings, memory guards)
-a per-round replay runs instead, bit-identical where both apply (same
-rounds, bits, receipts, RNG stream). The fault-free pipelined broadcast
-has no replay: it requires BFS-layered trees.
+rate-0 fault engines batch thousands of rounds into a handful of array
+ops. The input decides, never a caller switch: each fault protocol has one
+closed form and one per-round replay, and plans that draw coins (any drop
+rate in (0, 1]), mobile sets on the BFS flood and the broadcast's memory
+guard take the replay, bit-identical where both apply (same rounds, bits,
+receipts, RNG stream). Both broadcast engines require BFS-layered trees.
 
 Every vectorized BFS — solo, the broadcast prologue, the parallel-channel
 union, the multi-query plane (:mod:`repro.engine.plane`) and the static

@@ -189,6 +189,59 @@ def vectorized_numbering(
 # Lemma 1 / Theorem 1 step 4 — pipelined tree broadcast
 # --------------------------------------------------------------------------- #
 
+def _validate_broadcast_trees(
+    graph: Graph, trees: dict[int, BFSResult], messages
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Checks every vectorized multi-tree broadcast makes before it runs.
+
+    Every message channel must have a tree; every tree must span the graph
+    and be BFS-layered (``dist`` is the tree depth: root 0, each child one
+    below its parent — the layer batching and the depth terms read it that
+    way); and no edge may carry two tree arcs. Returns, per channel in
+    sorted-cid order, the non-root nodes and the edge ids of their parent
+    arcs, which the callers reuse.
+    """
+    n = graph.n
+    for cid in messages:
+        if cid not in trees:
+            raise ValidationError(f"messages given for unknown channel {cid}")
+    arcs = []
+    for cid in sorted(trees):
+        tree = trees[cid]
+        if not tree.spans():
+            raise ValidationError(f"channel {cid} tree does not span the graph")
+        parent = np.asarray(tree.parent, dtype=np.int64)
+        dist = np.asarray(tree.dist, dtype=np.int64)
+        nonroot = parent != np.arange(n)
+        vs = np.nonzero(nonroot)[0]
+        if np.any(dist[~nonroot] != 0) or np.any(dist[vs] != dist[parent[vs]] + 1):
+            raise ValidationError(
+                f"channel {cid} tree is not BFS-layered (dist must be the "
+                "depth in the tree)"
+            )
+        arcs.append((vs, parent[vs]))
+    # One batched edge-id query for every channel's tree arcs. The simulator
+    # would raise BandwidthExceeded on the first double-send over a shared
+    # edge; any edge used twice — across channels or within one malformed
+    # tree — is a duplicate in the flat id array, so sorting the O(Σ|V|)
+    # tree edges finds it without an O(m) per-edge count.
+    eids = graph.edge_ids_for_pairs(
+        np.concatenate([ps for _, ps in arcs] or [np.empty(0, dtype=np.int64)]),
+        np.concatenate([vs for vs, _ in arcs] or [np.empty(0, dtype=np.int64)]),
+    )
+    if n > 1 and len(arcs) > 1 and eids.size:
+        eids_sorted = np.sort(eids)
+        if bool((eids_sorted[1:] == eids_sorted[:-1]).any()):
+            raise ValidationError(
+                "trees must be edge-disjoint (the simulator would refuse the "
+                "double-send)"
+            )
+    bounds = np.cumsum([0] + [vs.size for vs, _ in arcs])
+    return [
+        (vs, eids[bounds[i] : bounds[i + 1]]) for i, (vs, _) in enumerate(arcs)
+    ]
+
+
 def vectorized_tree_broadcast(
     graph: Graph,
     trees: dict[int, BFSResult],
@@ -226,6 +279,7 @@ def vectorized_tree_broadcast(
     """
     n = graph.n
     cids = sorted(trees)
+    tree_arcs = _validate_broadcast_trees(graph, trees, messages)
     per_channel_k: dict[int, int] = {}
     # One pass over each channel's placement caches (origin nodes, queue
     # lengths, flat id array): validation here, the own-matrix fill, and
@@ -236,8 +290,6 @@ def vectorized_tree_broadcast(
     # priced individually through Python ints, as before.
     chan_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray | None]] = {}
     for cid, placement in messages.items():
-        if cid not in trees:
-            raise ValidationError(f"messages given for unknown channel {cid}")
         node_ids = np.fromiter(placement.keys(), dtype=np.int64, count=len(placement))
         lens = np.fromiter(
             (len(msgs) for msgs in placement.values()),
@@ -267,8 +319,6 @@ def vectorized_tree_broadcast(
         chan_cache[cid] = (node_ids, lens, ids_arr)
     for cid in cids:
         per_channel_k.setdefault(cid, 0)
-        if not trees[cid].spans():
-            raise ValidationError(f"channel {cid} tree does not span the graph")
 
     metrics = Metrics(m=graph.m)
     if not cids:
@@ -289,40 +339,6 @@ def vectorized_tree_broadcast(
         cached = chan_cache.get(cid)
         if cached is not None and cached[0].size:
             own[ci, cached[0]] = cached[1]
-        if np.any(dists[ci][~nonroot[ci]] != 0) or np.any(
-            dists[ci][nonroot[ci]] != dists[ci][parents[ci][nonroot[ci]]] + 1
-        ):
-            raise ValidationError(
-                f"channel {cid} tree is not BFS-layered (dist must be the "
-                "depth in the tree)"
-            )
-
-    # Tree-edge ids, computed once in a single batched query (one
-    # searchsorted over all channels' tree edges): the disjointness gate
-    # and the congestion ledger below both consume them.
-    tree_vs = [np.nonzero(nonroot[ci])[0] for ci in range(C)]
-    eids_flat = graph.edge_ids_for_pairs(
-        np.concatenate([parents[ci][tree_vs[ci]] for ci in range(C)]),
-        np.concatenate(tree_vs),
-    )
-    eid_bounds = np.zeros(C + 1, dtype=np.int64)
-    np.cumsum([vs.size for vs in tree_vs], out=eid_bounds[1:])
-    tree_eids = [
-        eids_flat[eid_bounds[ci] : eid_bounds[ci + 1]] for ci in range(C)
-    ]
-
-    # The simulator would raise BandwidthExceeded on the first double-send
-    # over a shared edge; the fast path rejects overlap up front. Any edge
-    # used twice — across channels or within one malformed tree — is a
-    # duplicate in the flat id array, so sorting the O(Σ|V|) tree edges
-    # replaces the old O(m) per-edge counting pass.
-    if n > 1 and C > 1 and eids_flat.size:
-        eids_sorted = np.sort(eids_flat)
-        if bool((eids_sorted[1:] == eids_sorted[:-1]).any()):
-            raise ValidationError(
-                "trees must be edge-disjoint (the simulator would refuse the "
-                "double-send)"
-            )
 
     # Per-channel message-id arrays, one pass each: they feed both the
     # bandwidth gate here and the closed-form bit totals below. Every id is
@@ -406,13 +422,13 @@ def vectorized_tree_broadcast(
         total_bits = 0
         for ci, cid in enumerate(cids):
             k_c = per_channel_k[cid]
-            vs = tree_vs[ci]
+            vs, eids = tree_arcs[ci]
             if vs.size == 0:
                 continue
             sub = sub_flat[ci * n : (ci + 1) * n]
             # A tree visits each edge once, so the ids are distinct and a plain
             # fancy-indexed add lands every update (no unbuffered ufunc.at).
-            metrics.edge_messages[tree_eids[ci]] += k_c + sub[vs]
+            metrics.edge_messages[eids] += k_c + sub[vs]
             # bits: each id crosses (n-1) tree edges down + its origin depth up
             if chan_bits[ci].size:
                 traversals = dists[ci][chan_origins[ci]] + (n - 1)

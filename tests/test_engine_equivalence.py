@@ -157,7 +157,10 @@ class TestPipelineEquivalence:
 
     def test_non_bfs_layered_tree_rejected(self):
         """``dist`` must be the tree depth: the span upcast, the depth
-        term and the convergecast all read it that way."""
+        term and the convergecast all read it that way — in the fault-free
+        and the faulty broadcast alike."""
+        from repro.engine.faults import vectorized_faulty_broadcast
+
         g = thick_cycle(4, 3)
         tree = run_bfs(g, 0, backend="vectorized")
         leaf = int(np.argmax(tree.dist))
@@ -168,8 +171,31 @@ class TestPipelineEquivalence:
             else:
                 dist[leaf] += 1
             bad = BFSResult(tree.root, tree.parent.copy(), dist, None, tree.rounds)
-            with pytest.raises(ValidationError, match="BFS-layered"):
-                vectorized_tree_broadcast(g, {0: bad}, {0: {leaf: [1]}})
+            for engine in (vectorized_tree_broadcast, vectorized_faulty_broadcast):
+                with pytest.raises(ValidationError, match="BFS-layered"):
+                    engine(g, {0: bad}, {0: {leaf: [1]}})
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("node", [-1, 12])
+    def test_out_of_range_placement_rejected(self, backend, node):
+        """A placement node outside ``[0, n)`` is an input error on every
+        entry point and both backends — never wrapped to ``n - 1`` or left
+        to a raw ``IndexError``."""
+        from repro.core.broadcast import textbook_broadcast
+        from repro.core.resilient import redundant_broadcast
+        from repro.core.tree_packing import build_packing_with_retry
+
+        g = thick_cycle(4, 3)
+        placement = {node: 3}
+        packing, _ = build_packing_with_retry(g, 2, seed=0, distributed=False)
+        calls = (
+            lambda: textbook_broadcast(g, placement, backend=backend),
+            lambda: fast_broadcast(g, placement, lam=6, seed=0, backend=backend),
+            lambda: redundant_broadcast(g, placement, packing, backend=backend),
+        )
+        for call in calls:
+            with pytest.raises(ValidationError, match="out of range"):
+                call()
 
 
 class TestPackingEquivalence:
