@@ -22,6 +22,13 @@ numbers; ``tests/test_engine_equivalence.py`` and
 ``BENCH_E13.json`` (:func:`benchmarks.conftest.write_bench_artifact`) so
 the engine's perf trajectory is tracked across PRs.
 
+**E13e** times what a ``lam=None`` user gets: a cold graph build plus
+``fast_broadcast(lam=None)``, whose §1.1 exponential λ search replaces the
+centralized exact-λ oracle. Each row embeds its phase breakdown; at
+n = 10⁵ the call must stay within 2× of the E13d ``lam=80`` row on the
+same host (where λ = δ, so the certified ledger is E13d's plus
+``lambda_search: 0``).
+
 Set ``E13_QUICK=1`` for the CI smoke: only the smallest config, both
 backends, ledger equality asserted, no timing assertions.
 """
@@ -64,6 +71,39 @@ def _both_backends(groups: int, size: int, k: int, lam: int, seed: int):
     return out
 
 
+def _cold_lam_none(groups: int, size: int, seed: int, backend: str = "vectorized"):
+    """E13e: cold ``thick_cycle`` build, then ``fast_broadcast(lam=None)``
+    (C = 1.5, k = 2n, placement seed = groups, as in E13d), traced.
+
+    Returns ``(fast, build_seconds, fast_seconds, phase_seconds)``.
+    """
+    with obs.use_tracer() as tracer:
+        t0 = time.perf_counter()
+        with obs.span("graph_build"):
+            g = thick_cycle(groups, size)
+        t_build = time.perf_counter() - t0
+        pl = uniform_random_placement(g.n, 2 * g.n, seed=groups)
+        t0 = time.perf_counter()
+        fast = fast_broadcast(g, pl, C=1.5, seed=seed, backend=backend)
+        t_fast = time.perf_counter() - t0
+    phases = {
+        name: round(secs, 4) for name, secs in sorted(tracer.phase_totals().items())
+    }
+    return fast, t_build, t_fast, phases
+
+
+def _e13e_row(fast, t_build, t_fast, phases) -> dict:
+    return {
+        "n": fast.n, "k": fast.k, "parts": fast.parts,
+        "fast_rounds": fast.rounds,
+        "lambda_search_rounds": fast.phases["lambda_search"],
+        "build_seconds": round(t_build, 3),
+        "fast_seconds": round(t_fast, 3),
+        "total_seconds": round(t_build + t_fast, 3),
+        "fast_phases": phases,
+    }
+
+
 def run_quick():
     """CI smoke: smallest config, both backends, ledgers must match —
     and a second vectorized run must reproduce them exactly."""
@@ -87,6 +127,13 @@ def run_quick():
         )
     assert traced.phases == fast.phases, "tracing perturbed the ledger"
     tracer.write(trace_artifact_path())
+    # E13e smoke: lam=None runs the λ search on both backends; on this
+    # λ = δ host the ledger is the lam=20 one plus lambda_search: 0.
+    cold = {b: _cold_lam_none(8, 10, seed=1, backend=b) for b in ("simulator", "vectorized")}
+    searched = cold["vectorized"][0]
+    assert cold["simulator"][0].phases == searched.phases, "lam=None ledgers diverged"
+    assert searched.phases == {**fs.phases, "lambda_search": 0}, searched.phases
+    write_bench_artifact("e13e_quick", _e13e_row(*cold["vectorized"]))
     write_bench_artifact(
         "e13_quick",
         {"n": 80, "k": 160, "sim_seconds": round(out["simulator"][2], 4),
@@ -283,8 +330,42 @@ def run_experiment():
     assert all(t / f >= 2.0 for _, t, f in series4)
     assert series4[-1][0] >= 1_000_000, "scale-up series must reach n >= 1e6"
     write_bench_artifact("e13d", artifact)
+    run_e13e({row["n"]: row for row in artifact})
 
     return series1, series2, series4
+
+
+def run_e13e(e13d_rows: dict) -> list[dict]:
+    """Series 5: the lam=None user path at n = 10⁴ and 10⁵, cold.
+
+    ``e13d_rows`` maps n to its E13d artifact row; where E13d timed the same
+    host with λ given, the λ search must reproduce its ledger (λ = δ, so
+    only ``lambda_search: 0`` is added) within 2× of its wall clock.
+    """
+    t5 = Table(
+        ["n", "k", "trees", "rounds", "lambda_search", "build_s", "fast_s",
+         "e13d_fast_s"],
+        title="E13e — cold lam=None fast broadcast (graph build + λ search, k=2n)",
+    )
+    rows = []
+    for groups, size in ((125, 80), (2500, 40)):
+        fast, t_build, t_fast, phases = _cold_lam_none(groups, size, seed=3)
+        row = _e13e_row(fast, t_build, t_fast, phases)
+        known = e13d_rows.get(fast.n)
+        if known is not None:
+            assert fast.rounds == known["fast_rounds"], (fast.rounds, known)
+            row["e13d_fast_seconds"] = known["fast_seconds"]
+            assert t_fast <= 2.0 * known["fast_seconds"], (
+                f"n={fast.n} lam=None took {t_fast:.2f}s, over 2x the E13d "
+                f"lam={known['lam']} row ({known['fast_seconds']:.2f}s)"
+            )
+        t5.add_row([fast.n, fast.k, fast.parts, fast.rounds,
+                    fast.phases["lambda_search"], round(t_build, 2),
+                    round(t_fast, 2), row.get("e13d_fast_seconds", "-")])
+        rows.append(row)
+    t5.print()
+    write_bench_artifact("e13e", rows)
+    return rows
 
 
 def test_e13_scaling(benchmark):

@@ -33,7 +33,11 @@ from repro.core.decomposition import (
     Decomposition,
     num_parts,
 )
-from repro.core.tree_packing import TreePacking, build_tree_packing
+from repro.core.tree_packing import (
+    TreePacking,
+    build_packing_with_retry,
+    build_tree_packing,
+)
 from repro.graphs.graph import Graph
 from repro.primitives.bfs import BFSResult, run_bfs
 from repro.primitives.leader import elect_leader
@@ -150,11 +154,12 @@ def _number_messages_batch(
     else:
         elect, number = elect_leader, assign_item_numbers
     with obs.span("elect"):
-        leader, r_leader = elect(graph)
+        try:
+            leader, r_leader = elect(graph)
+        except RuntimeError as err:  # one leader per connected component
+            raise ValidationError("graph must be connected for broadcast") from err
     with obs.span("global_bfs"):
         tree = run_bfs(graph, leader, backend=backend)
-    if not tree.spans():
-        raise ValidationError("graph must be connected for broadcast")
     out = []
     with obs.span("numbering"):
         for counts in counts_list:
@@ -278,32 +283,35 @@ def fast_broadcast(
 
     Parameters
     ----------
-    lam: edge connectivity (common knowledge per the paper's Remark; pass
-        ``None`` to have it computed centrally for convenience — use
-        :func:`repro.core.lambda_search.broadcast_with_unknown_lambda` for
-        the fully distributed unknown-λ variant).
+    lam: edge connectivity, when it is common knowledge (the paper's
+        Remark). ``None`` runs the §1.1 exponential λ search
+        (:func:`repro.core.lambda_search.find_packing_unknown_lambda`, rooted
+        at the leader, lookahead 1): guesses δ, δ/2, … each validated by one
+        parallel BFS. The accepted guess's BFS is charged as
+        ``tree_packing``; the rejected guesses' rounds as ``lambda_search``
+        (0 when δ validates). Iteration i uses partition seed
+        ``seed + 7919·i``, the seed of retry attempt i, so where λ = δ and
+        the first partition validates, the ledger equals the ``lam=λ`` one
+        plus ``lambda_search: 0``.
     C: the constant in λ' = λ/(C log n); smaller C → more trees but a
         larger failure probability for the w.h.p. events.
     decomposition / packing: pre-built Theorem 2 artifacts to reuse (the
         decomposition is input-independent, so amortizing it across many
         broadcast instances is exactly what Section 1 suggests); their
-        construction rounds are then charged as 0 here.
+        construction rounds are then charged as 0 here, and ``lam`` is
+        ignored.
     distributed_packing: build trees on the simulator (certified rounds) or
         centrally with equivalent output (fast path for sweeps); only
-        consulted under ``backend="simulator"``.
+        consulted when ``lam`` is given and under ``backend="simulator"``
+        (the λ search always validates with the certified parallel BFS).
     backend: ``"simulator"`` executes every phase on the CONGEST simulator;
         ``"vectorized"`` computes the identical phase ledger with the numpy
         engine (see :mod:`repro.engine`).
     """
     from repro.engine import validate_backend
-    from repro.graphs.connectivity import edge_connectivity
 
     validate_backend(backend)
-    k = sum(placement.values())
     with obs.span("fast_broadcast"):
-        if lam is None and decomposition is None and packing is None:
-            with obs.span("connectivity"):
-                lam = edge_connectivity(graph)
         leader, gtree, starts, phases = _number_messages(graph, placement, backend)
 
         if packing is None:
@@ -315,9 +323,10 @@ def fast_broadcast(
                         distributed=distributed_packing,
                         backend=backend,
                     )
+                elif lam is None:
+                    packing, searched = _search_packing(graph, seed, C, leader, backend)
+                    phases["lambda_search"] = searched
                 else:
-                    from repro.core.tree_packing import build_packing_with_retry
-
                     parts = num_parts(lam, graph.n, C)
                     packing, _attempts = build_packing_with_retry(
                         graph,
@@ -331,6 +340,23 @@ def fast_broadcast(
         else:
             phases["tree_packing"] = 0
         return _fast_tail(graph, placement, starts, phases, packing, verify, backend)
+
+
+def _search_packing(graph, seed, C, root, backend) -> tuple[TreePacking, int]:
+    """The §1.1 Remark's exponential λ search, split for the round ledger.
+
+    Returns the accepted iteration's packing (its BFS *is* the packing
+    construction, charged as ``tree_packing``) and the certified rounds of
+    the rejected guesses (the ``lambda_search`` overhead, 0 when the first
+    guess δ validates).
+    """
+    from repro.core.lambda_search import find_packing_unknown_lambda
+
+    search = find_packing_unknown_lambda(
+        graph, seed=seed, C=C, root=root, backend=backend
+    )
+    packing = search.packing
+    return packing, search.total_validation_rounds - packing.construction_rounds
 
 
 def _fast_tail(graph, placement, starts, phases, packing, verify, backend):
@@ -400,16 +426,16 @@ def fast_broadcast_batch(
     """Many Theorem 1 broadcasts with all placement-independent work shared.
 
     Element ``i`` is bit-identical to ``fast_broadcast(graph,
-    placements[i], seed=seeds[i], ...)``: edge connectivity, the leader and
-    its global tree, and the tree packing of each distinct seed are computed
-    once (the packing via :func:`build_packing_with_retry` candidate
-    batching under the vectorized backend — itself bit-identical to the
-    sequential retry walk); numbering, the channel split, and the pipeline
+    placements[i], seed=seeds[i], ...)``: the leader and its global tree,
+    and the tree packing of each distinct seed are computed once (with
+    ``lam`` given, via :func:`build_packing_with_retry` candidate batching
+    under the vectorized backend — itself bit-identical to the sequential
+    retry walk; with ``lam=None``, one λ search per distinct seed);
+    numbering, the channel split, and the pipeline
     run per placement. ``seeds`` is one int for all placements or a
     per-placement list.
     """
     from repro.engine import validate_backend
-    from repro.graphs.connectivity import edge_connectivity
 
     validate_backend(backend)
     placements = list(placements)
@@ -422,31 +448,32 @@ def fast_broadcast_batch(
                 f"seeds length {len(seed_list)} != placements length {len(placements)}"
             )
     with obs.span("fast_broadcast"):
-        if lam is None:
-            with obs.span("connectivity"):
-                lam = edge_connectivity(graph)
         numbered = _number_messages_batch(graph, placements, backend)
-        parts = num_parts(lam, graph.n, C)
-        packings: dict[int, TreePacking] = {}
+        packings: dict[int, tuple[TreePacking, int | None]] = {}
         results = []
         for placement, seed, (leader, _gtree, starts, phases) in zip(
             placements, seed_list, numbered
         ):
-            packing = packings.get(seed)
-            if packing is None:
-                from repro.core.tree_packing import build_packing_with_retry
-
+            if seed not in packings:
                 with obs.span("tree_packing"):
-                    packing, _attempts = build_packing_with_retry(
-                        graph,
-                        parts,
-                        seed,
-                        root=leader,
-                        distributed=distributed_packing,
-                        backend=backend,
-                        batch=4 if backend == "vectorized" else 1,
-                    )
-                packings[seed] = packing
+                    if lam is None:
+                        packings[seed] = _search_packing(
+                            graph, seed, C, leader, backend
+                        )
+                    else:
+                        packing, _attempts = build_packing_with_retry(
+                            graph,
+                            num_parts(lam, graph.n, C),
+                            seed,
+                            root=leader,
+                            distributed=distributed_packing,
+                            backend=backend,
+                            batch=4 if backend == "vectorized" else 1,
+                        )
+                        packings[seed] = (packing, None)
+            packing, searched = packings[seed]
+            if searched is not None:
+                phases["lambda_search"] = searched
             phases["tree_packing"] = packing.construction_rounds
             results.append(
                 _fast_tail(graph, placement, starts, phases, packing, verify, backend)

@@ -6,11 +6,11 @@ harness therefore needs *certified* λ values for its workloads, not
 estimates. We implement:
 
 * :func:`local_edge_connectivity` — unit-capacity max-flow between two nodes
-  (Edmonds–Karp: BFS augmenting paths, so each augmentation is a shortest
-  path), with an optional ``cutoff`` for early termination;
-* :func:`edge_connectivity` — global λ as ``min_v maxflow(s, v)`` from a
-  minimum-degree node ``s``, with the running minimum used as the cutoff
-  (the standard Even–Tarjan scheme);
+  (scipy's Dinic, or a reference Edmonds–Karp with an optional ``cutoff``
+  for early termination);
+* :func:`edge_connectivity` — global λ by Matula's reduction:
+  ``min(δ, min_{t ∈ D} maxflow(s, t))`` over a greedy dominating set ``D``
+  with ``s = D[0]``;
 * :func:`min_cut` — a concrete minimum cut ``(S, cut_edge_ids)``, the witness
   set the Theorem 3 / Theorem 8 lower-bound harnesses count bits across;
 * :func:`stoer_wagner` — weighted global min cut, used by the cut-sparsifier
@@ -21,6 +21,7 @@ Cross-checks against :func:`networkx.edge_connectivity` live in the tests.
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 
 import numpy as np
@@ -110,19 +111,26 @@ class _UnitFlowNetwork:
         return seen
 
 
-def _scipy_unit_maxflow(graph: Graph, s: int, t: int):
+def _flow_csr(graph: Graph):
+    """Unit-capacity arc matrix: both directions of every edge, capacity 1.
+
+    Built once per oracle call and shared by all its max-flows.
+    """
+    from scipy.sparse import csr_matrix
+
+    indptr, indices = graph.masked_csr()
+    cap = np.ones(indices.size, dtype=np.int32)
+    return csr_matrix((cap, indices, indptr), shape=(graph.n, graph.n))
+
+
+def _scipy_unit_maxflow(csgraph, s: int, t: int):
     """Unit-capacity max flow via scipy's Cython Dinic implementation.
 
     Returns ``(flow_value, flow_matrix)`` where ``flow_matrix`` is the
     directed sparse flow (for residual reachability).
     """
-    from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import maximum_flow
 
-    row = np.concatenate([graph.edge_u, graph.edge_v])
-    col = np.concatenate([graph.edge_v, graph.edge_u])
-    cap = np.ones(2 * graph.m, dtype=np.int32)
-    csgraph = csr_matrix((cap, (row, col)), shape=(graph.n, graph.n))
     result = maximum_flow(csgraph, s, t)
     return int(result.flow_value), result.flow
 
@@ -136,15 +144,15 @@ def local_edge_connectivity(
 ) -> int:
     """Max number of edge-disjoint s–t paths (= s–t edge connectivity).
 
-    ``method="scipy"`` (default) uses scipy's compiled Dinic max-flow;
-    ``method="reference"`` runs the pure-Python Edmonds–Karp in this module
-    (the tests cross-validate the two). ``cutoff`` (reference method only)
-    stops early once the flow reaches that value.
+    ``method="scipy"`` (default) uses scipy's compiled Dinic max-flow and
+    ignores ``cutoff``; ``method="reference"`` runs the pure-Python
+    Edmonds–Karp in this module (the tests cross-validate the two), which
+    stops early once the flow reaches ``cutoff``.
     """
     if s == t:
         raise ValidationError("s and t must differ")
     if method == "scipy":
-        value, _ = _scipy_unit_maxflow(graph, s, t)
+        value, _ = _scipy_unit_maxflow(_flow_csr(graph), s, t)
         return value
     if method == "reference":
         net = _UnitFlowNetwork(graph)
@@ -159,80 +167,93 @@ def local_edge_connectivity(
 def greedy_dominating_set(graph: Graph) -> list[int]:
     """Greedy dominating set (max-residual-coverage first).
 
-    Matula's reduction computes λ with ``|D|`` max-flows instead of ``n``;
-    for the d-regular workloads of the experiment suite ``|D| = O(n log d/d)``.
+    Each step takes the node whose closed neighbourhood covers the most
+    still-uncovered nodes (ties: smallest id), so ``dom[0]`` is a
+    maximum-degree node. The coverage counts are kept exact by decrementing
+    every neighbour of each newly covered node; a lazy max-heap holds
+    their (stale-high) keys. Matula's reduction then computes λ with
+    ``|D|`` max-flows instead of ``n``; on the d-regular workloads of the
+    experiment suite the greedy gives ``|D| = O(n log d/d)``.
     """
+    indptr, indices = graph.masked_csr()
     covered = np.zeros(graph.n, dtype=bool)
+    gain = graph.degrees() + 1  # uncovered nodes in each closed neighbourhood
+    heap = [(-c, v) for v, c in enumerate(gain.tolist())]
+    heapq.heapify(heap)
     dom: list[int] = []
-    # Precompute coverage counts; greedy with lazy updates.
-    order = np.argsort(-graph.degrees(), kind="stable")
-    for v in order:
-        v = int(v)
-        if covered[v] and bool(covered[graph.neighbors(v)].all()):
+    uncovered = graph.n
+    while uncovered:
+        key, v = heapq.heappop(heap)
+        if -key != gain[v]:
+            heapq.heappush(heap, (-int(gain[v]), v))
             continue
         dom.append(v)
-        covered[v] = True
-        covered[graph.neighbors(v)] = True
-        if covered.all():
-            break
+        closed = np.append(indices[indptr[v] : indptr[v + 1]], v)
+        fresh = closed[~covered[closed]]
+        covered[fresh] = True
+        uncovered -= fresh.size
+        lens = indptr[fresh + 1] - indptr[fresh]
+        offsets = np.repeat(indptr[fresh] - (np.cumsum(lens) - lens), lens)
+        np.subtract.at(gain, indices[offsets + np.arange(lens.sum())], 1)
+        gain[fresh] -= 1
     return dom
+
+
+def _matula(graph: Graph, method: str = "scipy"):
+    """Matula's dominating-set loop: ``(λ, s, witness)``, ``s = dom[0]``.
+
+    ``witness`` is the scipy flow matrix of the first dominating node whose
+    flow from ``s`` realized λ < δ; it is ``None`` when λ = δ (and always
+    under ``method="reference"``). Requires δ ≥ 1.
+    """
+    best = graph.min_degree()  # λ <= δ always
+    dom = greedy_dominating_set(graph)
+    s, witness = dom[0], None
+    csgraph = _flow_csr(graph) if method == "scipy" else None
+    for t in dom[1:]:
+        if best == 0:
+            break
+        if csgraph is not None:
+            value, flow = _scipy_unit_maxflow(csgraph, s, t)
+        else:
+            value = local_edge_connectivity(graph, s, t, cutoff=best, method=method)
+            flow = None
+        if value < best:
+            best, witness = value, flow
+    return best, s, witness
 
 
 def edge_connectivity(graph: Graph, method: str = "scipy") -> int:
     """Global edge connectivity λ (0 for disconnected graphs, n=1 → 0).
 
     Uses Matula's dominating-set reduction: for any dominating set ``D`` and
-    any ``s ∈ D``, ``λ = min(δ, min_{v ∈ D\\{s}} maxflow(s, v))``. The key
-    fact is that when λ < δ, both sides of a minimum cut contain more than δ
-    nodes and hence (every node being dominated) both sides intersect D.
+    any ``s ∈ D``, ``λ = min(δ, min_{v ∈ D\\{s}} maxflow(s, v))``, with
+    ``s = D[0]``. The key fact is that when λ < δ, both sides of a minimum
+    cut contain more than δ nodes and hence (every node being dominated)
+    both sides intersect D — so a single-node D already certifies λ = δ.
+    One unit-capacity flow CSR serves every max-flow of the call.
     """
-    if graph.n <= 1:
+    if graph.n <= 1 or graph.min_degree() == 0:
         return 0
-    degs = graph.degrees()
-    if degs.min() == 0:
-        return 0
-    dom = greedy_dominating_set(graph)
-    s = dom[0]
-    best = int(degs.min())  # λ <= δ always
-    for t in dom[1:]:
-        if best == 0:
-            break
-        flow = local_edge_connectivity(graph, s, t, cutoff=best, method=method)
-        best = min(best, flow)
-    # A dominating set can be a single node (s adjacent to everyone); λ = δ
-    # is then correct only if no non-degree cut is smaller, which requires
-    # checking s against a second node. Handle |D| == 1 explicitly.
-    if len(dom) == 1:
-        for t in range(graph.n):
-            if t != s:
-                flow = local_edge_connectivity(graph, s, t, cutoff=best, method=method)
-                best = min(best, flow)
-                break
-    return best
+    return _matula(graph, method)[0]
 
 
-def _residual_reachable(graph: Graph, flow, s: int) -> np.ndarray:
-    """Nodes reachable from ``s`` in the residual of a scipy flow matrix."""
-    from scipy.sparse import csr_matrix
+def _residual_reachable(csgraph, flow, s: int) -> np.ndarray:
+    """Nodes reachable from ``s`` in the residual of a scipy flow matrix.
 
-    # Residual capacity of arc (u, v) = cap(u, v) - flow(u, v); with unit
-    # symmetric capacities, residual(u→v) = 1 - flow[u, v] (flow is
-    # antisymmetric in scipy's output).
-    flow = flow.tocsr()
-    seen = np.zeros(graph.n, dtype=bool)
-    seen[s] = True
-    stack = [s]
-    while stack:
-        v = stack.pop()
-        nbrs = graph.neighbors(v)
-        if len(nbrs) == 0:
-            continue
-        fv = np.asarray(flow[v, nbrs].todense()).ravel()
-        usable = nbrs[(1 - fv) > 0]
-        for w in usable.tolist():
-            if not seen[w]:
-                seen[w] = True
-                stack.append(w)
+    Residual capacity of arc (u, v) is ``cap(u, v) - flow(u, v)`` (the flow
+    is antisymmetric in scipy's output).
+    """
+    from scipy.sparse.csgraph import breadth_first_order
+
+    residual = (csgraph - flow).tocsr()
+    residual.data = (residual.data > 0).astype(np.int8)
+    residual.eliminate_zeros()
+    order = breadth_first_order(
+        residual, s, directed=True, return_predecessors=False
+    )
+    seen = np.zeros(csgraph.shape[0], dtype=bool)
+    seen[order] = True
     return seen
 
 
@@ -242,7 +263,9 @@ def min_cut(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
     ``side_mask`` is the boolean indicator of the source-side set ``S`` and
     ``cut_edge_ids`` the ids of the ``λ`` edges crossing ``E(S, V\\S)``.
     This is the witness the Theorem 3 information-theoretic bound is charged
-    against.
+    against. When λ = δ it is a minimum-degree node's star; otherwise the
+    residual side of ``s`` in the flow that realized λ in the same Matula
+    loop as :func:`edge_connectivity` (no flow runs twice).
     """
     if graph.n <= 1:
         raise ValidationError("min cut undefined for single-node graphs")
@@ -252,30 +275,21 @@ def min_cut(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
         side[int(np.argmin(degs))] = True
         return side, np.array([], dtype=np.int64)
 
-    lam = edge_connectivity(graph)
-    delta_node = int(np.argmin(degs))
-    if lam == int(degs[delta_node]):
+    lam, s, witness = _matula(graph)
+    if witness is None:
         # A minimum-degree node's star is a minimum cut.
+        delta_node = int(np.argmin(degs))
         side = np.zeros(graph.n, dtype=bool)
         side[delta_node] = True
         cut_ids = graph.incident_edge_ids(delta_node).copy()
         return side, np.asarray(cut_ids, dtype=np.int64)
 
-    # Otherwise find a witness pair realizing λ among dominating-set flows.
-    dom = greedy_dominating_set(graph)
-    s = dom[0]
-    for t in dom[1:]:
-        value, flow = _scipy_unit_maxflow(graph, s, t)
-        if value == lam:
-            side = _residual_reachable(graph, flow, s)
-            crossing = side[graph.edge_u] != side[graph.edge_v]
-            cut_ids = np.nonzero(crossing)[0]
-            if len(cut_ids) != lam:
-                raise ValidationError(
-                    "max-flow/min-cut mismatch", flow=lam, cut=len(cut_ids)
-                )
-            return side, cut_ids
-    raise ValidationError("no witness pair found for the minimum cut")
+    side = _residual_reachable(_flow_csr(graph), witness, s)
+    crossing = side[graph.edge_u] != side[graph.edge_v]
+    cut_ids = np.nonzero(crossing)[0]
+    if len(cut_ids) != lam:
+        raise ValidationError("max-flow/min-cut mismatch", flow=lam, cut=len(cut_ids))
+    return side, cut_ids
 
 
 def stoer_wagner(graph: Graph) -> tuple[float, np.ndarray]:

@@ -7,6 +7,7 @@ from repro.core import (
     combined_broadcast,
     cut_adversarial_placement,
     fast_broadcast,
+    fast_broadcast_batch,
     random_partition,
     build_tree_packing,
     single_source_placement,
@@ -14,12 +15,17 @@ from repro.core import (
     uniform_random_placement,
 )
 from repro.graphs import (
+    Graph,
     barbell,
     diameter,
+    edge_connectivity,
+    hypercube,
     min_cut,
     path_graph,
+    path_of_cliques,
     random_regular,
     thick_cycle,
+    torus_grid,
 )
 from repro.util.errors import ValidationError
 
@@ -153,6 +159,78 @@ class TestFastBroadcast:
         packing = build_tree_packing(decomp, distributed=False)
         res = fast_broadcast(host, {0: 30}, packing=packing)
         assert res.k == 30 and res.parts == 3
+
+
+BACKENDS = ("simulator", "vectorized")
+
+
+class TestUnknownLambdaRoute:
+    """``lam=None`` runs the §1.1 exponential λ search, not a λ oracle."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize(
+        "make", [lambda: thick_cycle(6, 16), lambda: torus_grid(6, 8), lambda: hypercube(6)]
+    )
+    def test_lambda_equals_delta_ledger_unchanged(self, make, backend):
+        # Guess δ = λ validates at iteration 0, whose partition seed is the
+        # retry walk's attempt-0 seed: only the lambda_search: 0 entry is new.
+        g = make()
+        pl = uniform_random_placement(g.n, g.n, seed=3)
+        searched = fast_broadcast(g, pl, seed=3, backend=backend)
+        known = fast_broadcast(g, pl, lam=edge_connectivity(g), seed=3, backend=backend)
+        assert searched.phases == {**known.phases, "lambda_search": 0}
+        assert (searched.parts, searched.max_congestion, searched.packing_max_depth) == (
+            known.parts, known.max_congestion, known.packing_max_depth
+        )
+
+    def test_lambda_below_delta_charges_rejected_guesses(self):
+        g = path_of_cliques(3, 30, 2)  # δ = 29, λ = 2
+        pl = uniform_random_placement(g.n, 2 * g.n, seed=3)
+        sim, vec = (fast_broadcast(g, pl, C=1.0, seed=3, backend=b) for b in BACKENDS)
+        assert sim.phases == vec.phases
+        assert (sim.parts, sim.max_congestion, sim.packing_max_depth) == (
+            vec.parts, vec.max_congestion, vec.packing_max_depth
+        )
+        assert sim.phases["lambda_search"] > 0 and sim.delivered
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_no_exact_lambda_oracle(self, monkeypatch, backend):
+        import repro.graphs as graphs
+        import repro.graphs.connectivity as connectivity
+
+        def boom(*_args, **_kwargs):
+            raise AssertionError("lam=None must not call the exact λ oracle")
+
+        monkeypatch.setattr(connectivity, "edge_connectivity", boom)
+        monkeypatch.setattr(graphs, "edge_connectivity", boom)
+        g = thick_cycle(6, 8)
+        pls = [uniform_random_placement(g.n, 40, seed=s) for s in (1, 2)]
+        solo = fast_broadcast(g, pls[0], seed=5, backend=backend)
+        batch = fast_broadcast_batch(g, pls, seeds=[5, 6], backend=backend)
+        assert solo.delivered and all(r.delivered for r in batch)
+        assert batch[0].phases == solo.phases
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_batch_matches_solo(self, backend):
+        g = path_of_cliques(3, 30, 2)
+        pls = [uniform_random_placement(g.n, k, seed=k) for k in (10, 50, 90)]
+        seeds = [3, 4, 3]
+        batch = fast_broadcast_batch(g, pls, C=1.0, seeds=seeds, backend=backend)
+        for p, s, b in zip(pls, seeds, batch):
+            solo = fast_broadcast(g, p, C=1.0, seed=s, backend=backend)
+            assert (solo.phases, solo.parts, solo.max_congestion) == (
+                b.phases, b.parts, b.max_congestion
+            )
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize(
+        "g", [Graph(1, []), Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])]
+    )
+    def test_degenerate_hosts_raise(self, g, backend):
+        with pytest.raises(ValidationError):
+            fast_broadcast(g, {0: 2}, backend=backend)
+        with pytest.raises(ValidationError):
+            fast_broadcast_batch(g, [{0: 2}], backend=backend)
 
 
 class TestCombinedBroadcast:

@@ -19,6 +19,7 @@ from repro.graphs import (
     random_regular,
     stoer_wagner,
     thick_cycle,
+    torus_grid,
 )
 from repro.graphs.connectivity import greedy_dominating_set
 from repro.util.errors import ValidationError
@@ -124,6 +125,29 @@ class TestDominatingSet:
     def test_smaller_than_n_for_dense(self):
         g = complete_graph(20)
         assert len(greedy_dominating_set(g)) == 1
+
+    @pytest.mark.parametrize(
+        "g",
+        [torus_grid(20, 20), hypercube(8), thick_cycle(20, 10),
+         random_regular(300, 12, seed=2), path_of_cliques(5, 20, 3)],
+        ids=["torus", "hypercube", "thick", "regular", "cliques"],
+    )
+    def test_greedy_size_bound(self, g):
+        # The max-coverage greedy meets n(1 + ln(δ+1))/(δ+1); a static
+        # degree-order scan keeps 90 % of a torus and half a hypercube.
+        dom = greedy_dominating_set(g)
+        delta = g.min_degree()
+        assert len(dom) <= g.n * (1 + np.log(delta + 1)) / (delta + 1)
+        assert dom[0] == int(np.argmax(g.degrees()))
+        assert len(set(dom)) == len(dom)
+
+
+class TestMatulaReference:
+    @pytest.mark.parametrize(
+        "g", [path_of_cliques(3, 6, 2), barbell(5, bridge_len=2), hypercube(4)]
+    )
+    def test_reference_flows_agree(self, g):
+        assert edge_connectivity(g, method="reference") == edge_connectivity(g)
 
 
 class TestStoerWagner:
